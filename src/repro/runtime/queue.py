@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set
 
@@ -153,6 +153,16 @@ class QueueStats:
         }
 
 
+@dataclass(frozen=True)
+class QueueSnapshot:
+    """One consistent reading of a :class:`BoundedQueue`."""
+
+    depth: int
+    full: bool
+    #: Waiting requests per tenant tag (``""`` = untenanted traffic).
+    tenant_depths: Dict[str, int]
+
+
 class BoundedQueue:
     """FIFO request queue with a hard capacity and an admission policy.
 
@@ -230,6 +240,18 @@ class BoundedQueue:
     def full(self) -> bool:
         with self._lock:
             return self._size >= self.capacity
+
+    def snapshot(self) -> QueueSnapshot:
+        """Depth, fullness and per-tenant depths under one lock; separate
+        :attr:`depth` and :attr:`full` reads can straddle an offer."""
+        with self._lock:
+            if self.qos is None:
+                tenants = dict(Counter(r.tenant for r in self._items))
+            else:
+                tenants = {name: len(f) for name, f in self._fifos.items()}
+            return QueueSnapshot(
+                self._size, self._size >= self.capacity, tenants
+            )
 
     def oldest_enqueued(self) -> Optional[float]:
         """Enqueue timestamp of the oldest queued request (None when

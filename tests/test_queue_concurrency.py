@@ -119,10 +119,11 @@ class TestConcurrentBlock:
 
 class TestConcurrentReaders:
     def test_len_depth_full_are_locked_and_consistent(self):
-        """Hammer ``__len__``/``depth``/``full`` from reader threads
+        """Hammer ``__len__``/``depth``/``snapshot`` from reader threads
         while producers and a consumer churn the queue: every read must
         be a value the locked counter could actually hold (0..capacity),
-        and ``full`` must agree with a same-instant depth reading."""
+        and each snapshot's ``full`` and per-tenant depths must agree
+        with its own depth (one lock acquisition, one instant)."""
         queue = BoundedQueue(capacity=32, admission="reject")
         stop = threading.Event()
         bad: list = []
@@ -131,13 +132,15 @@ class TestConcurrentReaders:
             while not stop.is_set():
                 d = queue.depth
                 n = len(queue)
-                f = queue.full
                 if not (0 <= d <= 32 and 0 <= n <= 32):
                     bad.append(("range", d, n))
-                # full is sampled after depth; it may disagree only by
-                # a concurrent mutation, never by a torn read
-                if f and len(queue) == 0 and queue.depth == 0:
-                    bad.append(("full-but-empty", f))
+                snap = queue.snapshot()
+                if not 0 <= snap.depth <= 32:
+                    bad.append(("snapshot-range", snap))
+                if snap.full != (snap.depth >= queue.capacity):
+                    bad.append(("full-vs-depth", snap))
+                if sum(snap.tenant_depths.values()) != snap.depth:
+                    bad.append(("tenant-depths", snap))
 
         def consume():
             while not stop.is_set():
