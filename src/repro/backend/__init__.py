@@ -8,33 +8,41 @@ does per micro-batch; a :class:`Backend` decides *how* it runs:
     Bit-identical to the pre-backend execution paths — the golden
     cycle-parity tests pin its exact cycle totals and end-state hashes.
 ``native``
-    Raw NumPy with no cycle accounting (:mod:`repro.backend.native`),
-    including a drjit-style recorded loop that captures one FOL round
-    and replays it fused.  Real wall-clock requests/sec; identical end
-    states (the cross-backend parity suite proves it per kind).
+    Raw NumPy with no cycle accounting (:mod:`repro.backend.native`);
+    its carryover round is one fused closure per plan shape.  Real
+    wall-clock requests/sec; identical end states (the cross-backend
+    parity suite proves it per kind).
 
 Every executor owns one backend; specs emit backend-neutral
-:class:`~repro.backend.plan.FolPlan`\\ s and the backend's
-:meth:`Backend.run_fol` executes them.  Layers above the backend
-(``repro.engine``, ``repro.runtime``, ``repro.shard``) must not import
-:mod:`repro.machine.vm` directly — ``tools/check_backend_neutral.py``
-enforces that in CI.
+:class:`~repro.backend.plan.FolPlan`\\ s and the shared
+:meth:`Backend.run_fol` executes them on the backend's machine.  Layers
+above the backend (``repro.engine``, ``repro.runtime``, ``repro.shard``)
+must not import :mod:`repro.machine.vm` directly —
+``tools/check_backend_neutral.py`` enforces that in CI.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Tuple, Type
 
+import numpy as np
+
+from ..core.decomposition import max_multiplicity
+from ..core.fol1 import fol1
+from ..core.fol_star import fol_star
+from ..core.labels import tuple_labels
+from ..core.round import fol_round, tuple_round
 from ..errors import ReproError
 
 
 class Backend:
     """One way of executing FOL plans.
 
-    Subclasses provide a machine (an object with the
-    :class:`~repro.machine.vm.VectorMachine` surface — the *ops
-    facade* specs and commits program against) and an executor for
-    :class:`~repro.backend.plan.FolPlan`.
+    A subclass provides a machine: an object with the
+    :class:`~repro.machine.vm.VectorMachine` surface, the *ops facade*
+    that specs and commits program against.  :meth:`run_fol` is shared
+    by every backend; a backend overrides :meth:`filter_round` only to
+    fuse the carryover round, and the override must end bit-identical.
     """
 
     #: Registry name (the ``--backend`` CLI value).
@@ -48,11 +56,57 @@ class Backend:
         """Build this backend's ops facade over ``words`` of storage."""
         raise NotImplementedError
 
+    def filter_round(self, vm, plan) -> Tuple[np.ndarray, np.ndarray]:
+        """One FOL round over ``plan``'s live lanes, issued through the
+        ops facade: label scatter (with the §3.3 scalar tail for
+        tuples), gather, compare, compress.  Returns ``(winners,
+        losers)`` as positions into ``plan.live``."""
+        n = plan.live.size
+        if plan.arity == 1:
+            return fol_round(
+                vm, plan.addrs[0], vm.iota(n),
+                work_offset=plan.work_offset, policy=plan.policy,
+            )
+        return tuple_round(
+            vm, plan.addrs, tuple_labels(vm, n, plan.arity),
+            work_offset=plan.work_offset, policy=plan.policy,
+        )
+
     def run_fol(self, executor, plan, reqs, result) -> int:
         """Execute one kind's :class:`~repro.backend.plan.FolPlan` for a
         batch slice; extends ``result`` and returns the observed
-        multiplicity M (mirrors ``WorkloadSpec.run``)."""
-        raise NotImplementedError
+        multiplicity M.  Carryover mode runs one :meth:`filter_round`
+        and carries the losers; retry mode loops ``fol1``/``fol_star``
+        until every lane won."""
+        vm = executor.vm
+        result.completed.extend(reqs[i] for i in plan.precompleted)
+        live = plan.live
+        if live.size and executor.carryover:
+            winners, losers = self.filter_round(vm, plan)
+            plan.commit(vm, winners)
+            result.completed.extend(reqs[i] for i in live[winners])
+            for i in live[losers]:
+                reqs[i].group = plan.group_of(int(i))
+                result.carried.append(reqs[i])
+            result.rounds += 1
+        elif live.size:
+            if plan.arity == 1:
+                dec = fol1(
+                    vm, plan.addrs[0],
+                    work_offset=plan.work_offset, policy=plan.policy,
+                    on_set=lambda s, _j: plan.commit(vm, s),
+                )
+            else:
+                # fol_star decomposes first; the sets commit afterwards.
+                dec = fol_star(
+                    vm, plan.addrs,
+                    work_offset=plan.work_offset, policy=plan.policy,
+                )
+                for s in dec.sets:
+                    plan.commit(vm, s)
+            result.completed.extend(reqs[i] for i in live)
+            result.rounds += dec.m
+        return max_multiplicity(plan.measure)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r})"
@@ -81,8 +135,7 @@ _BUILTIN_ORDER = ("sim", "native")
 
 
 def _ensure_builtins() -> None:
-    # Deferred so importing repro.backend (e.g. from a kind module) does
-    # not recurse through repro.runtime, which the sim backend wraps.
+    # Deferred: the built-in modules import this one to subclass Backend.
     if "sim" not in _BACKENDS or "native" not in _BACKENDS:
         from . import native, sim  # noqa: F401  (self-registering)
 

@@ -2,41 +2,20 @@
 
 A :class:`WorkloadSpec` used to *execute* its batch slice directly
 against the cycle-model VM; now it *emits* a :class:`FolPlan` — a small
-typed description of the kind's filtering round — and the executor's
-:class:`~repro.backend.Backend` decides how to run it: the ``sim``
-backend replays it through the calibrated S-810 primitives
-(bit-identical to the pre-backend code paths, pinned by the golden
-cycle-parity tests), while the ``native`` backend executes the same
-plan as raw NumPy with no cycle accounting, optionally through a
-drjit-style recorded loop.
+description of the kind's filtering round — and the executor's
+:class:`~repro.backend.Backend` runs it: the ``sim`` backend through
+the calibrated S-810 primitives (bit-identical to the pre-backend code
+paths, pinned by the golden cycle-parity tests), the ``native`` backend
+as raw NumPy with no cycle accounting.
 
-The IR is deliberately tiny: FOL (paper §3.2/§3.3) is one fixed round
-shape — scatter labels under ELS, gather them back, compare, split the
-lanes — repeated either once per micro-batch (carryover mode) or until
-the index vector drains (retry mode), followed by the kind's *commit*
-(its "main processing": hash-chain link, cell bump, tuple transfer).
-The typed ops below name exactly those steps:
-
-=====================  ==============================================
-op                     semantics
-=====================  ==============================================
-:class:`ScatterLabels` write each live lane's unique label to its
-                       conflict address (+ ``work_offset``) under the
-                       ELS conflict ``policy``; with ``scalar_tail``
-                       (arity >= 2) the last tuple's labels are
-                       written by scalar stores *after* the vector
-                       scatters (§3.3 deadlock avoidance)
-:class:`GatherBack`    read the labels back through the same addresses
-:class:`CompareLabels` per-lane equality of readback vs. own label,
-                       AND-reduced across the plan's L address vectors
-:class:`FilterSurvivors`
-                       split lane positions into (winners, losers);
-                       winners hold distinct addresses (Lemma 2)
-:class:`Commit`        run the kind's main processing on the winners
-:class:`LoopUntilEmpty`
-                       retry mode: repeat the body over the losers
-                       until no lanes remain (§3.2 step 4)
-=====================  ==============================================
+FOL (paper §3.2/§3.3) is one fixed round shape — scatter labels under
+ELS (with a scalar tail for tuples), gather them back, compare, split
+the lanes — repeated either once per micro-batch (carryover mode) or
+until the index vector drains (retry mode), followed by the kind's
+*commit* (its "main processing": hash-chain link, cell bump, tuple
+transfer).  A plan therefore carries only the round's parameters
+(arity, conflict policy, work offset), its address vectors and the
+commit.
 
 Commit bodies stay per-kind closures (the paper amalgamates main
 processing per application); they receive the backend's *ops facade*
@@ -47,55 +26,11 @@ processing per application); they receive the backend's *ops facade*
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 import numpy as np
 
 from ..errors import ReproError
-
-
-# ----------------------------------------------------------------------
-# typed ops
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ScatterLabels:
-    """Write labels through the work area under the ELS condition."""
-
-    work_offset: int = 0
-    policy: str = "arbitrary"
-    #: §3.3 deadlock remedy: write the last tuple's labels with scalar
-    #: stores after the vector scatters (arity >= 2 plans only).
-    scalar_tail: bool = False
-
-
-@dataclass(frozen=True)
-class GatherBack:
-    """Read the labels back through the same work addresses."""
-
-
-@dataclass(frozen=True)
-class CompareLabels:
-    """Survival mask: readback == own label, ANDed across vectors."""
-
-
-@dataclass(frozen=True)
-class FilterSurvivors:
-    """Split live lane positions into (winners, losers)."""
-
-
-@dataclass(frozen=True)
-class Commit:
-    """Run the kind's main processing on the winning lanes."""
-
-    kind: str = ""
-
-
-@dataclass(frozen=True)
-class LoopUntilEmpty:
-    """Repeat ``body`` over the losing lanes until none remain."""
-
-    body: Tuple[object, ...] = ()
-
 
 #: A commit hook: ``commit(ops, positions)`` where ``positions`` index
 #: the plan's *live* lanes (winners of the round just filtered).
@@ -145,29 +80,6 @@ class FolPlan:
                     f"{self.kind!r} plan address vector of {v.size} lanes "
                     f"for {self.live.size} live lanes"
                 )
-
-    # ------------------------------------------------------------------
-    def round_ops(self) -> Tuple[object, ...]:
-        """The typed ops of one filtering round, in execution order."""
-        return (
-            ScatterLabels(
-                work_offset=self.work_offset,
-                policy=self.policy,
-                scalar_tail=self.arity >= 2,
-            ),
-            GatherBack(),
-            CompareLabels(),
-            FilterSurvivors(),
-        )
-
-    def program(self, carryover: bool) -> Tuple[object, ...]:
-        """The full op program for one batch: a single round + commit in
-        carryover mode, or the round looped to exhaustion (§3.2 step 4)
-        in retry mode."""
-        body = self.round_ops() + (Commit(self.kind),)
-        if carryover:
-            return body
-        return (LoopUntilEmpty(body),)
 
 
 def identity_live(n: int) -> np.ndarray:

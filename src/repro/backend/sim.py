@@ -1,23 +1,18 @@
 """The calibrated-cycles backend: FOL plans on the S-810 cycle model.
 
-This is the pre-backend execution path, verbatim, behind the
-:class:`~repro.backend.Backend` interface.  :meth:`SimBackend.run_fol`
-realises a plan's op program with the proven primitives — a
-:func:`~repro.runtime.carryover.fol_round` /
-:func:`~repro.runtime.carryover.tuple_round` per batch in carryover
-mode, the paper's :func:`~repro.core.fol1.fol1` /
-:func:`~repro.core.fol_star.fol_star` loops in retry mode — issuing
-the *identical sequence of charged vector instructions* (and identical
-``"arbitrary"``-policy rng draws) the kinds used to issue inline.
-That equivalence is load-bearing: the golden cycle-parity tests
-(``tests/test_engine_registry.py``) pin exact simulated cycle totals
-and end-state hashes, and this module must never change either.
+This is the pre-backend execution path behind the
+:class:`~repro.backend.Backend` interface.  It only supplies the
+charged machine; the inherited :meth:`~repro.backend.Backend.run_fol`
+issues the *identical sequence of charged vector instructions* (and
+identical ``"arbitrary"``-policy rng draws) the kinds used to issue
+inline.  That equivalence is load-bearing: the golden cycle-parity
+tests (``tests/test_engine_registry.py``) pin exact simulated cycle
+totals and end-state hashes, and this backend must never change either.
 """
 
 from __future__ import annotations
 
 from . import Backend, register_backend
-from .plan import FolPlan
 
 
 @register_backend
@@ -31,55 +26,3 @@ class SimBackend(Backend):
         from ..machine.vm import make_machine
 
         return make_machine(words, cost_model=cost_model, seed=seed)
-
-    # ------------------------------------------------------------------
-    def run_fol(self, executor, plan: FolPlan, reqs, result) -> int:
-        from ..core.fol1 import fol1
-        from ..core.fol_star import fol_star
-        from ..core.labels import tuple_labels
-        from ..engine.spec import _max_multiplicity
-        from ..runtime.carryover import fol_round, tuple_round
-
-        vm = executor.vm
-        result.completed.extend(reqs[i] for i in plan.precompleted)
-        live = plan.live
-        if live.size:
-            if executor.carryover:
-                # One filtering round per batch; losers recirculate
-                # through the service's carryover buffer.
-                if plan.arity == 1:
-                    labels = vm.iota(live.size)
-                    winners, losers = fol_round(
-                        vm, plan.addrs[0], labels,
-                        work_offset=plan.work_offset, policy=plan.policy,
-                    )
-                else:
-                    labels = tuple_labels(vm, live.size, plan.arity)
-                    winners, losers = tuple_round(
-                        vm, plan.addrs, labels,
-                        work_offset=plan.work_offset, policy=plan.policy,
-                    )
-                plan.commit(vm, winners)
-                result.completed.extend(reqs[i] for i in live[winners])
-                for i in live[losers]:
-                    reqs[i].group = plan.group_of(int(i))
-                    result.carried.append(reqs[i])
-                result.rounds += 1
-            else:
-                # Retry mode: the paper's in-batch loop-until-empty.
-                if plan.arity == 1:
-                    dec = fol1(
-                        vm, plan.addrs[0],
-                        work_offset=plan.work_offset, policy=plan.policy,
-                        on_set=lambda s, _j: plan.commit(vm, s),
-                    )
-                else:
-                    dec = fol_star(
-                        vm, plan.addrs,
-                        work_offset=plan.work_offset, policy=plan.policy,
-                    )
-                    for s in dec.sets:
-                        plan.commit(vm, s)
-                result.completed.extend(reqs[i] for i in live)
-                result.rounds += dec.m
-        return _max_multiplicity(plan.measure)

@@ -91,17 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="execution backend: sim = calibrated S-810 "
                              "cycle model, native = raw NumPy wall-clock "
                              "(see docs/backends.md)")
-    stream.add_argument("--no-recorded-loop", action="store_true",
-                        help="native backend only: interpret each FOL "
-                             "round op-by-op instead of replaying the "
-                             "recorded fused round (ablation)")
-    stream.add_argument("--recorded-loop", choices=("on", "off", "auto"),
-                        default=None,
-                        help="native backend only: force the fused "
-                             "recorded round (on, the default), the "
-                             "op-by-op interpreter (off), or calibrate "
-                             "per plan shape once and keep the faster "
-                             "path (auto)")
     stream.add_argument("--queue-capacity", type=positive_int, default=4096)
     stream.add_argument("--admission", choices=("block", "reject"),
                         default="block", help="full-queue policy")

@@ -68,21 +68,6 @@ def run(args) -> int:
     objective = args.rebalance_objective or "imbalance"
 
     backend = get_backend(args.backend)
-    if args.no_recorded_loop and args.recorded_loop not in (None, "off"):
-        raise ReproError(
-            "--no-recorded-loop is shorthand for --recorded-loop off; "
-            f"it conflicts with --recorded-loop {args.recorded_loop}"
-        )
-    loop_choice = "off" if args.no_recorded_loop else args.recorded_loop
-    if loop_choice is not None:
-        if not hasattr(backend, "recorded_loop"):
-            raise ReproError(
-                f"--recorded-loop only applies to the native backend, "
-                f"not {backend.name!r}"
-            )
-        backend.recorded_loop = {
-            "on": True, "off": False, "auto": "auto"
-        }[loop_choice]
     if not backend.calibrated:
         # Cycle-only features would silently measure zero on an
         # uncalibrated backend; refuse them up front.
@@ -206,16 +191,9 @@ def run(args) -> int:
         mix_note = ",".join(f"{k}={w:g}" for k, w in zip(kinds, weights))
     else:
         mix_note = ",".join(kinds)
-    rl = getattr(backend, "recorded_loop", None)
-    if backend.calibrated or not rl:
-        loop_note = ""
-    elif rl == "auto":
-        loop_note = ", auto loop"
-    else:
-        loop_note = ", recorded loop"
     print(f"stream: {args.requests} requests, kinds={mix_note}, "
           f"skew={args.skew}, policy={batcher.name}, {mode}, {loop} loop, "
-          f"backend={backend.name}{loop_note}{shard_note}")
+          f"backend={backend.name}{shard_note}")
     if interrupted:
         print(f"\ninterrupted — partial summary "
               f"({metrics.total_completed} of {args.requests} completed)")

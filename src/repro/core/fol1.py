@@ -28,10 +28,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..errors import DeadlockError, VectorLengthError
+from ..errors import VectorLengthError
 from ..machine.vm import VectorMachine
 from .decomposition import Decomposition
 from .labels import index_labels, validate_unique
+from .round import rounds_until_empty
 
 #: Callback type: receives (positions, round_index) for each S_j.
 SetCallback = Callable[[np.ndarray, int], None]
@@ -128,40 +129,18 @@ def fol1(
     # `positions` plays the role of V with deletion done by compress;
     # holding positions rather than addresses lets callers slice any
     # per-element payload by S_j.
-    positions = vm.iota(n)
-    rounds = 0
-    while positions.size:
-        if rounds >= max_rounds:
-            raise DeadlockError(
-                f"FOL1 exceeded {max_rounds} rounds with {positions.size} "
-                f"elements remaining — broken ELS scatter?"
-            )
-        wa = work_addrs[positions]
-        lb = lab[positions]
-
-        # Step 1: write labels (list-vector store under ELS).
-        vm.scatter(wa, lb, policy=policy)
-        # Step 2: read back through the same indices and compare.
-        readback = vm.gather(wa)
-        survived = vm.eq(readback, lb)
-
-        s_j = vm.compress(positions, survived)
-        if s_j.size == 0:
-            raise DeadlockError(
-                "FOL1 round produced an empty set — ELS condition violated"
-            )
+    sets = rounds_until_empty(
+        vm, [work_addrs], [lab], vm.iota(n),
+        policy=policy, scalar_tail=False, max_rounds=max_rounds,
+    )
+    for j, s_j in enumerate(sets):
         dec.sets.append(s_j)
         if on_set is not None:
-            on_set(s_j, rounds)
+            on_set(s_j, j)
         if stop_after is not None and len(dec.sets) >= stop_after:
             if vm.audit is not None:
                 vm.audit.on_decomposition(dec, partial=True)
             return dec
-
-        # Step 3: delete survivors from V.
-        positions = vm.compress(positions, vm.mask_not(survived))
-        vm.loop_overhead()
-        rounds += 1
 
     if vm.audit is not None:
         vm.audit.on_decomposition(dec)

@@ -30,6 +30,7 @@ from ..errors import DeadlockError, LabelError, VectorLengthError
 from ..machine.vm import VectorMachine
 from .decomposition import max_multiplicity
 from .labels import tuple_labels
+from .round import rounds_until_empty
 
 
 @dataclass
@@ -190,40 +191,14 @@ def fol_star(
 
     work = [vm.add(v, work_offset) if work_offset else v for v in vs]
 
-    rounds = len(dec.sets)
-    while positions.size:
-        if rounds >= max_rounds:
-            raise DeadlockError(
-                f"FOL* exceeded {max_rounds} rounds with {positions.size} "
-                f"tuples remaining"
-            )
-        head = positions[:-1]  # written by vector instructions
-        tail = int(positions[-1])  # written by scalar stores afterwards
-
-        # Step 1: write labels — vector part then the scalar tail.
-        for k in range(l):
-            vm.scatter(work[k][head], labs[k][head], policy=policy)
-        for k in range(l):
-            vm.mem.sstore(int(work[k][tail]), int(labs[k][tail]))
-
-        # Step 2: read back and AND the per-vector survival masks.
-        survived = None
-        for k in range(l):
-            readback = vm.gather(work[k][positions])
-            mask_k = vm.eq(readback, labs[k][positions])
-            survived = mask_k if survived is None else vm.mask_and(survived, mask_k)
-
-        s_j = vm.compress(positions, survived)
-        if s_j.size == 0:
-            raise DeadlockError(
-                "FOL* round produced an empty set despite the scalar tail"
-            )
-        dec.sets.append(s_j)
-
-        # Step 3: delete survivors.
-        positions = vm.compress(positions, vm.mask_not(survived))
-        vm.loop_overhead()
-        rounds += 1
+    # Each round writes the last tuple's labels by scalar stores after
+    # the vector scatters, so every round makes progress.  Isolated
+    # singletons count against the round budget.
+    dec.sets.extend(rounds_until_empty(
+        vm, work, labs, positions,
+        policy=policy, scalar_tail=True, max_rounds=max_rounds,
+        rounds=len(dec.sets),
+    ))
 
     if vm.audit is not None:
         vm.audit.on_tuple_decomposition(dec)

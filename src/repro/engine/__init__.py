@@ -30,7 +30,6 @@ from .spec import (
     EngineContext,
     RoutingDomain,
     WorkloadSpec,
-    _max_multiplicity,
     count_by_kind,
     domains,
     get_domain,

@@ -27,7 +27,12 @@ import numpy as np
 
 from ...errors import ReproError
 from ...mem.arena import NIL
-from ...trees.bst import BinarySearchTree
+from ...trees.bst import (
+    BinarySearchTree,
+    build_nodes,
+    claim_round,
+    vector_bst_insert,
+)
 from ..spec import EngineContext, WorkloadSpec, register
 
 
@@ -62,11 +67,7 @@ class BstSpec(WorkloadSpec):
         # Pre-build a node per *fresh* lane; carried lanes already own one.
         fresh = [i for i, r in enumerate(reqs) if r.node == NIL]
         if fresh:
-            built = nodes.alloc_many(len(fresh))
-            vm.iota(len(fresh))  # charge the address generation
-            vm.scatter(vm.add(built, off_key), keys[fresh], policy=executor.policy)
-            vm.scatter(vm.add(built, off_left), vm.splat(len(fresh), NIL), policy=executor.policy)
-            vm.scatter(vm.add(built, off_right), vm.splat(len(fresh), NIL), policy=executor.policy)
+            built = build_nodes(vm, nodes, keys[fresh], executor.policy)
             for i, ptr in zip(fresh, built):
                 reqs[i].node = int(ptr)
         node_ptrs = np.asarray([r.node for r in reqs], dtype=np.int64)
@@ -90,15 +91,10 @@ class BstSpec(WorkloadSpec):
 
             if vm.any_true(at_nil):
                 claim_rounds += 1
-                lb = labels[active]
-                vm.scatter_masked(cur_slots, lb, at_nil, policy=executor.policy)
-                readback = vm.gather(cur_slots)
-                won = vm.mask_and(at_nil, vm.eq(readback, lb))
-                if vm.audit is not None:
-                    vm.audit.on_claim(cur_slots, at_nil, won)
-                vm.scatter_masked(cur_slots, node_ptrs[active], won, policy=executor.policy)
-                if not vm.any_true(won):
-                    raise ReproError("stream BST claim round made no progress")
+                won = claim_round(
+                    vm, cur_slots, labels[active], at_nil, node_ptrs[active],
+                    executor.policy,
+                )
                 result.completed.extend(reqs[i] for i in active[won])
                 if executor.carryover:
                     # Filtered claimants defer to the next batch, resuming
@@ -149,7 +145,6 @@ class BstSpec(WorkloadSpec):
     # -- core-kernel fuzzing --------------------------------------------
     def core_fuzz(self, vm, allocator, keys: np.ndarray, ctx: EngineContext):
         from ...audit.oracle import diff_bst
-        from ...trees.bst import vector_bst_insert
 
         tree = BinarySearchTree(allocator, max(keys.size, 1))
         vector_bst_insert(vm, tree, keys)

@@ -8,7 +8,8 @@ the kind with no further edits (see ``docs/architecture.md``).
 Each request contributes ``key`` (a value in ``[0, key_space)``) to a
 persistent sorted set.  State is a :class:`SortStore`: the work array
 ``C`` of :func:`repro.sorting.vector_address_calc_sort`, kept *live*
-across micro-batches — every batch runs one FOL insertion round
+across micro-batches — every batch runs one FOL insertion round, the
+sort's own :func:`~repro.sorting.address_calc.insert_round`
 (order-preserving hash, masked probing, negated-subscript labels,
 displaced-run shifting), so the store is sorted after every batch and
 filtered lanes recirculate through the ordinary carryover path.
@@ -33,13 +34,18 @@ from typing import List
 
 import numpy as np
 
+from ...core.decomposition import max_multiplicity
 from ...errors import ReproError
+from ...sorting.address_calc import (
+    AddressCalcWorkspace,
+    insert_round,
+    vector_address_calc_sort,
+)
 from ..spec import (
     MIGRATE_ROUTE,
     EngineContext,
     RoutingDomain,
     WorkloadSpec,
-    _max_multiplicity,
     register,
     register_domain,
 )
@@ -129,10 +135,11 @@ class SortSpec(WorkloadSpec):
             if rounds > limit:
                 raise ReproError(f"sort round loop exceeded {limit} rounds")
             rem = values[lanes]
-            entered, caddr, m = self._insert_round(
-                vm, store, rem, executor.policy
+            entered, _, caddr = insert_round(
+                vm, store.base, store.unentered, rem, store.hash_of(vm, rem),
+                executor.policy,
             )
-            multiplicity = max(multiplicity, m)
+            multiplicity = max(multiplicity, max_multiplicity(caddr))
             won = lanes[entered]
             store.entered += int(won.size)
             result.completed.extend(reqs[i] for i in won)
@@ -148,49 +155,6 @@ class SortSpec(WorkloadSpec):
             lanes = lost  # paper semantics: retry in-batch until entered
         result.rounds += rounds
         return multiplicity
-
-    def _insert_round(self, vm, store, rem: np.ndarray, policy: str):
-        """One §4.2 round: probe (B), FOL insert (C), shift (D).
-        Returns ``(entered mask, probed conflict addresses, observed M)``."""
-        base = store.base
-        unentered = store.unentered
-        hashed = store.hash_of(vm, rem)
-
-        # B. advance each datum to the first slot with C[h] > a
-        while True:
-            caddr = vm.add(hashed, base)
-            cvals = vm.gather(caddr)
-            uninsertable = vm.le(cvals, rem)
-            if vm.count_true(uninsertable) == 0:
-                break
-            hashed = vm.select(uninsertable, vm.add(hashed, 1), hashed)
-            vm.loop_overhead()
-
-        # C. insert under the FOL overwrite check: store the negated
-        # subscripts -ι, read back, and let survivors store their data.
-        caddr = vm.add(hashed, base)
-        multiplicity = max(_max_multiplicity(caddr), 1)
-        work = vm.gather(caddr)  # save the displaced values
-        ids = vm.neg(vm.iota(rem.size, start=1))
-        vm.scatter(caddr, ids, policy=policy)
-        readback = vm.gather(caddr)
-        entered = vm.eq(readback, ids)
-        vm.scatter_masked(caddr, rem, entered, policy=policy)
-
-        # D. shift the displaced runs (only for successful inserts whose
-        # slot held a real value).  All chains advance in lock-step from
-        # distinct starts, so the scatters below are conflict-free.
-        to_shift = vm.mask_and(entered, vm.ne(work, unentered))
-        shift_vals = vm.compress(work, to_shift)
-        shift_addr = vm.compress(vm.add(caddr, 1), to_shift)
-        while shift_vals.size:
-            nxt = vm.gather(shift_addr)
-            vm.scatter(shift_addr, shift_vals, policy=policy)
-            nonempty = vm.ne(nxt, unentered)
-            shift_vals = vm.compress(nxt, nonempty)
-            shift_addr = vm.compress(vm.add(shift_addr, 1), nonempty)
-            vm.loop_overhead()
-        return entered, caddr, multiplicity
 
     # -- differential oracle --------------------------------------------
     def _engine_values(self, engine) -> List[int]:
@@ -210,10 +174,6 @@ class SortSpec(WorkloadSpec):
     # -- core-kernel fuzzing --------------------------------------------
     def core_fuzz(self, vm, allocator, keys: np.ndarray, ctx: EngineContext):
         from ...audit.oracle import diff_sorted
-        from ...sorting.address_calc import (
-            AddressCalcWorkspace,
-            vector_address_calc_sort,
-        )
 
         ws = AddressCalcWorkspace(allocator, max(keys.size, 1))
         out = vector_address_calc_sort(vm, ws, keys, vmax=ctx.key_space)

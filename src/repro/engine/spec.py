@@ -74,17 +74,6 @@ class RoutingDomain:
     migration: str = MIGRATE_ROUTE
 
 
-def _max_multiplicity(addrs) -> int:
-    """Uncharged diagnostic: a batch's observed M (Theorem 5)."""
-    import numpy as np
-
-    addrs = np.asarray(addrs)
-    if addrs.size == 0:
-        return 0
-    _, counts = np.unique(addrs, return_counts=True)
-    return int(counts.max())
-
-
 class WorkloadSpec:
     """Base class for one request kind's declarative spec.
 

@@ -21,115 +21,15 @@ This trades intra-batch rounds for cross-batch recirculation:
   the one-shot decomposition.  The equivalence is proved property-wise
   in ``tests/test_runtime_equivalence.py``.
 
-:func:`fol_round` is the single-round primitive (FOL1 steps 1–3 without
-the repeat loop); :class:`CarryoverBuffer` is the typed holding pen the
-service moves filtered requests through.
+The single-round primitives live in :mod:`repro.core.round`;
+:class:`CarryoverBuffer` is the holding pen for filtered requests.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
-import numpy as np
-
-from ..errors import AuditError, DeadlockError
 from .queue import Request
-
-
-def fol_round(
-    vm,
-    addrs: np.ndarray,
-    labels: np.ndarray,
-    *,
-    work_offset: int = 0,
-    policy: str = "arbitrary",
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One filtering round over ``addrs``: write ``labels`` through the
-    work area, gather them back, and split lane positions into
-    ``(winners, losers)``.
-
-    Winners hold distinct addresses (Lemma 2) and are safe for parallel
-    main processing; losers are the overwritten lanes the caller defers
-    to the next micro-batch.
-    """
-    if addrs.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    wa = vm.add(addrs, work_offset) if work_offset else addrs
-    vm.scatter(wa, labels, policy=policy)
-    readback = vm.gather(wa)
-    survived = vm.eq(readback, labels)
-    positions = vm.iota(addrs.size)
-    winners = vm.compress(positions, survived)
-    if winners.size == 0:
-        raise DeadlockError(
-            "carryover FOL round produced no survivors — ELS condition violated"
-        )
-    losers = vm.compress(positions, vm.mask_not(survived))
-    if vm.audit is not None:
-        vm.audit.on_round(addrs, winners, losers)
-    return winners, losers
-
-
-def tuple_round(
-    vm,
-    addr_vectors: List[np.ndarray],
-    label_vectors: List[np.ndarray],
-    *,
-    work_offset: int = 0,
-    policy: str = "arbitrary",
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One FOL* filtering round over L index vectors (§3.3): a tuple
-    survives only if *all* of its L labels read back intact.
-
-    Unlike :func:`fol_round`, a single round of parallel tuple label
-    writing can produce **zero** survivors (tuple A beats B on one cell
-    while B beats A on another), so the paper's deadlock remedy is
-    applied per round: the last tuple's labels are written with scalar
-    stores *after* the vector scatters, guaranteeing at least one
-    winner.  Used by the ``"xfer"`` request kind, whose unit process
-    rewrites two shared list cells.
-
-    Labels must be unique across all L vectors (use
-    :func:`repro.core.labels.tuple_labels`).
-    """
-    n = addr_vectors[0].size
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    works = [
-        vm.add(v, work_offset) if work_offset else v for v in addr_vectors
-    ]
-    # Step 1: vector label writes for all tuples but the last, then the
-    # last tuple's labels by scalar stores (always survives).
-    for wa, lb in zip(works, label_vectors):
-        vm.scatter(wa[:-1], lb[:-1], policy=policy)
-    for wa, lb in zip(works, label_vectors):
-        vm.mem.sstore(int(wa[-1]), int(lb[-1]))
-    # Step 2: read back through every vector and AND the survival masks.
-    survived = None
-    for wa, lb in zip(works, label_vectors):
-        mask = vm.eq(vm.gather(wa), lb)
-        survived = mask if survived is None else vm.mask_and(survived, mask)
-    positions = vm.iota(n)
-    winners = vm.compress(positions, survived)
-    if winners.size == 0:
-        raise DeadlockError(
-            "tuple FOL round produced no survivors despite the scalar tail"
-        )
-    losers = vm.compress(positions, vm.mask_not(survived))
-    if vm.audit is not None:
-        # Tuple winners must hold *all* their cells exclusively: the
-        # concatenated winner addresses across the L vectors must be
-        # pairwise distinct (§3.3's parallel-processability).
-        flat = np.concatenate([v[winners] for v in addr_vectors])
-        uniq = np.unique(flat)
-        if uniq.size != flat.size:
-            raise AuditError(
-                "tuple round winners share a cell — not parallel-processable"
-            )
-        vm.audit.stats.rounds += 1
-    return winners, losers
 
 
 class CarryoverBuffer:

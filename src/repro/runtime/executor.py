@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..engine.spec import (
     EngineContext,
-    _max_multiplicity,  # noqa: F401  (compat re-export; lives in engine)
     count_by_kind,
     get_spec,
     machine_words,

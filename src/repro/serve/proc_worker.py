@@ -13,10 +13,10 @@ shared segment the front-end created:
 3. rebind ``mem.words`` to the shared view.
 
 Every executor access goes through the ``words`` attribute (including
-the native backend's recorded-loop replay, which re-fetches it per
-round), so after the rebind the worker computes *in place* in shared
-memory: the front-end's mirror reads end states and cross-shard cell
-values with zero copies and zero messages.
+the native backend's fused round, which re-fetches it per round), so
+after the rebind the worker computes *in place* in shared memory: the
+front-end's mirror reads end states and cross-shard cell values with
+zero copies and zero messages.
 
 The control loop is lockstep message-driven — run a batch, apply a
 commit, stop — and the worker only touches its own arena.  Cross-shard

@@ -26,7 +26,9 @@ Two implementations:
   labels (negative labels cannot collide with the non-negative data, so
   labels and data share ``C`` without a separate work area); part D
   shifts all displaced runs in lock-step; part E collects the filtered
-  data for the next round; part F packs.
+  data for the next round; part F packs.  Parts B–D are
+  :func:`insert_round`, which the streaming ``sort`` kind runs once per
+  micro-batch against a live ``C``.
 """
 
 from __future__ import annotations
@@ -128,6 +130,54 @@ def scalar_address_calc_sort(
     return out
 
 
+def insert_round(
+    vm: VectorMachine,
+    base: int,
+    unentered: int,
+    rem: np.ndarray,
+    hashed: np.ndarray,
+    policy: str = "arbitrary",
+):
+    """Steps B–D of one Figure 12 round: insert the data ``rem``, hashed
+    to slots ``hashed`` of the work array ``C`` at ``base``.  Returns
+    ``(entered, hashed, caddr)``: the survival mask, the probed slots
+    and their conflict addresses."""
+    # B. advance each datum to the first slot with C[h] > a
+    while True:
+        caddr = vm.add(hashed, base)
+        cvals = vm.gather(caddr)
+        uninsertable = vm.le(cvals, rem)
+        if vm.count_true(uninsertable) == 0:
+            break
+        hashed = vm.select(uninsertable, vm.add(hashed, 1), hashed)
+        vm.loop_overhead()
+
+    # C. insert under the FOL overwrite check: store the negated
+    # subscripts -ι, read back, and let survivors store their data.
+    caddr = vm.add(hashed, base)
+    work = vm.gather(caddr)  # save the displaced values
+    ids = vm.neg(vm.iota(rem.size, start=1))  # -1, -2, ..., -nrest
+    vm.scatter(caddr, ids, policy=policy)
+    readback = vm.gather(caddr)
+    entered = vm.eq(readback, ids)
+    vm.scatter_masked(caddr, rem, entered, policy=policy)
+
+    # D. shift the displaced runs (only for successful inserts whose
+    # slot held a real value).  All chains advance in lock-step from
+    # distinct starts, so the scatters below are conflict-free.
+    to_shift = vm.mask_and(entered, vm.ne(work, unentered))
+    shift_vals = vm.compress(work, to_shift)
+    shift_addr = vm.compress(vm.add(caddr, 1), to_shift)
+    while shift_vals.size:
+        nxt = vm.gather(shift_addr)
+        vm.scatter(shift_addr, shift_vals, policy=policy)
+        nonempty = vm.ne(nxt, unentered)
+        shift_vals = vm.compress(nxt, nonempty)
+        shift_addr = vm.compress(vm.add(shift_addr, 1), nonempty)
+        vm.loop_overhead()
+    return entered, hashed, caddr
+
+
 def vector_address_calc_sort(
     vm: VectorMachine,
     ws: AddressCalcWorkspace,
@@ -164,39 +214,8 @@ def vector_address_calc_sort(
         if rounds > max_rounds:
             raise ReproError(f"address-calc sort exceeded {max_rounds} rounds")
 
-        # B. advance each datum to the first slot with C[h] > a
-        while True:
-            caddr = vm.add(hashed, base)
-            cvals = vm.gather(caddr)
-            uninsertable = vm.le(cvals, rem)
-            if vm.count_true(uninsertable) == 0:
-                break
-            hashed = vm.select(uninsertable, vm.add(hashed, 1), hashed)
-            vm.loop_overhead()
-
-        # C. insert under the FOL overwrite check: store the negated
-        # subscripts -ι, read back, and let survivors store their data.
-        caddr = vm.add(hashed, base)
-        work = vm.gather(caddr)  # save the displaced values
-        ids = vm.neg(vm.iota(rem.size, start=1))  # -1, -2, ..., -nrest
-        vm.scatter(caddr, ids, policy=policy)
-        readback = vm.gather(caddr)
-        entered = vm.eq(readback, ids)
-        vm.scatter_masked(caddr, rem, entered, policy=policy)
-
-        # D. shift the displaced runs (only for successful inserts whose
-        # slot held a real value).  All chains advance in lock-step from
-        # distinct starts, so the scatters below are conflict-free.
-        to_shift = vm.mask_and(entered, vm.ne(work, unentered))
-        shift_vals = vm.compress(work, to_shift)
-        shift_addr = vm.compress(vm.add(caddr, 1), to_shift)
-        while shift_vals.size:
-            nxt = vm.gather(shift_addr)
-            vm.scatter(shift_addr, shift_vals, policy=policy)
-            nonempty = vm.ne(nxt, unentered)
-            shift_vals = vm.compress(nxt, nonempty)
-            shift_addr = vm.compress(vm.add(shift_addr, 1), nonempty)
-            vm.loop_overhead()
+        # B-D. probe, insert under the FOL check, shift displaced runs
+        entered, hashed, _ = insert_round(vm, base, unentered, rem, hashed, policy)
 
         # E. collect the filtered (not-yet-inserted) data
         not_entered = vm.mask_not(entered)

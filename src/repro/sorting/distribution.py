@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.round import charged_round
 from ..errors import ReproError
 from ..machine.scalar import ScalarProcessor
 from ..machine.vm import VectorMachine
@@ -129,13 +130,10 @@ def _fol_rounds(
     rounds = 0
     while positions.size:
         wa = vm.add(keys[positions], work_base)
-        labels = positions  # subscripts are unique labels
-        vm.scatter(wa, labels, policy=policy)
-        readback = vm.gather(wa)
-        survived = vm.eq(readback, labels)
-        winners = vm.compress(positions, survived)
-        if winners.size == 0:
-            raise ReproError("overwrite-and-check made no progress")
+        # subscripts are unique labels
+        _, winners, survived = charged_round(
+            vm, [wa], [positions], positions, policy=policy
+        )
         apply_set(winners)
         positions = vm.compress(positions, vm.mask_not(survived))
         vm.loop_overhead()

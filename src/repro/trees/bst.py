@@ -151,6 +151,39 @@ def scalar_bst_insert(
 # ----------------------------------------------------------------------
 # vectorized multi-insertion (FOL1 specialisation)
 # ----------------------------------------------------------------------
+def build_nodes(
+    vm: VectorMachine, nodes, keys: np.ndarray, policy: str = "arbitrary"
+) -> np.ndarray:
+    """Allocate one leaf node per key and initialise its fields by
+    vector stores; returns the node addresses."""
+    n = keys.size
+    ptrs = nodes.alloc_many(n)
+    vm.iota(n)  # charge the address generation
+    vm.scatter(vm.add(ptrs, nodes.offset("key")), keys, policy=policy)
+    vm.scatter(vm.add(ptrs, nodes.offset("left")), vm.splat(n, NIL), policy=policy)
+    vm.scatter(vm.add(ptrs, nodes.offset("right")), vm.splat(n, NIL), policy=policy)
+    return ptrs
+
+
+def claim_round(
+    vm: VectorMachine, slots, labels, claiming, node_ptrs,
+    policy: str = "arbitrary",
+) -> np.ndarray:
+    """The insert's FOL round, masked to the lanes ``claiming`` a NIL
+    slot: write their labels into the slots, read them back, and link
+    the one surviving lane's pre-built node per slot (ELS).  Returns
+    the mask of winning lanes."""
+    vm.scatter_masked(slots, labels, claiming, policy=policy)
+    readback = vm.gather(slots)
+    won = vm.mask_and(claiming, vm.eq(readback, labels))
+    if vm.audit is not None:
+        vm.audit.on_claim(slots, claiming, won)
+    vm.scatter_masked(slots, node_ptrs, won, policy=policy)
+    if not vm.any_true(won):
+        raise ReproError("BST claim round made no progress")
+    return won
+
+
 def vector_bst_insert(
     vm: VectorMachine,
     tree: BinarySearchTree,
@@ -168,13 +201,7 @@ def vector_bst_insert(
     off_left = nodes.offset("left")
     off_right = nodes.offset("right")
     off_key = nodes.offset("key")
-
-    # Fresh nodes for every key, fields initialised by vector stores.
-    new_nodes = nodes.alloc_many(n)
-    vm.iota(n)  # charge the address generation
-    vm.scatter(vm.add(new_nodes, off_key), keys, policy=policy)
-    vm.scatter(vm.add(new_nodes, off_left), vm.splat(n, NIL), policy=policy)
-    vm.scatter(vm.add(new_nodes, off_right), vm.splat(n, NIL), policy=policy)
+    new_nodes = build_nodes(vm, nodes, keys, policy)
 
     # Every key starts at the root *slot* (the word holding the root
     # pointer), so inserting into an empty tree needs no special case.
@@ -193,23 +220,14 @@ def vector_bst_insert(
         ptrs = vm.gather(cur_slots)
         at_nil = vm.eq(ptrs, NIL)
 
-        # -- claim phase: lanes standing on a NIL slot run one FOL round
-        #    (label write + read-back, masked to those lanes).
+        # -- claim phase: lanes standing on a NIL slot run one FOL round.
         if vm.any_true(at_nil):
-            lb = labels[active]
-            vm.scatter_masked(cur_slots, lb, at_nil, policy=policy)
-            readback = vm.gather(cur_slots)
-            won = vm.mask_and(at_nil, vm.eq(readback, lb))
-            if vm.audit is not None:
-                vm.audit.on_claim(cur_slots, at_nil, won)
-            # One survivor per slot (ELS) — link its pre-built node in.
-            vm.scatter_masked(cur_slots, new_nodes[active], won, policy=policy)
-            if not vm.any_true(won):
-                raise ReproError("BST claim round made no progress")
+            won = claim_round(
+                vm, cur_slots, labels[active], at_nil, new_nodes[active], policy
+            )
             # Winners are inserted and leave the active set; losers stay
             # and will descend into the winner's fresh node next step.
-            remaining = vm.mask_not(won)
-            active = vm.compress(active, remaining)
+            active = vm.compress(active, vm.mask_not(won))
             if active.size == 0:
                 break
             cur_slots = slots[active]

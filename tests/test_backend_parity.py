@@ -9,15 +9,15 @@ downstream pointer, chain, tree and sort slot — match exactly.  This
 suite proves it end-to-end:
 
 * per-kind and full-mix closed-loop streams: identical machine-state
-  fingerprints, batch counts and round totals across ``sim``,
-  ``native`` (recorded loop) and ``native --no-recorded-loop``;
+  fingerprints, batch counts and round totals across ``sim`` and
+  ``native`` (whose carryover round is the fused replay);
 * retry mode (``carryover=False``, the paper's in-batch loop);
 * K=4 sharded runs: identical coordinator fingerprints, merged end
   states and cross-shard transfer counts;
 * the scalar differential oracles accept the native end states;
 * registry/CLI validation: unknown backends fail with the registered
   list, cycle-only flags are rejected on ``native`` with exit 2;
-* the plan IR itself: op shapes, scalar-tail placement, validation.
+* the plan IR itself: validation and the per-shape fused-round cache.
 """
 
 import numpy as np
@@ -33,16 +33,7 @@ from repro.backend import (
     resolve_backend,
 )
 from repro.backend.native import NativeBackend
-from repro.backend.plan import (
-    Commit,
-    CompareLabels,
-    FilterSurvivors,
-    FolPlan,
-    GatherBack,
-    LoopUntilEmpty,
-    ScatterLabels,
-    identity_live,
-)
+from repro.backend.plan import FolPlan, identity_live
 from repro.errors import ReproError
 from repro.runtime import FixedBatcher, StreamService, closed_loop_workload
 from repro.shard import ShardCoordinator
@@ -54,11 +45,10 @@ KEY_SPACE = 512
 
 
 def _backends():
-    """The three execution arms under test."""
+    """The execution arms under test."""
     return (
         ("sim", get_backend("sim")),
-        ("native-recorded", NativeBackend(recorded_loop=True)),
-        ("native-interpreted", NativeBackend(recorded_loop=False)),
+        ("native", NativeBackend()),
     )
 
 
@@ -94,7 +84,7 @@ class TestRegistry:
             assert name in message
 
     def test_resolve_accepts_name_and_instance(self):
-        inst = NativeBackend(recorded_loop=False)
+        inst = NativeBackend()
         assert resolve_backend(inst) is inst
         assert isinstance(resolve_backend("sim"), Backend)
 
@@ -250,11 +240,6 @@ class TestCli:
         assert rc == 2
         assert "deadline" in capsys.readouterr().err
 
-    def test_no_recorded_loop_requires_native(self, capsys):
-        rc = main(["stream", "--requests", "10", "--no-recorded-loop"])
-        assert rc == 2
-        assert "native" in capsys.readouterr().err
-
     def test_info_lists_backends(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out
@@ -279,28 +264,6 @@ class TestPlanIR:
             measure=np.arange(n, dtype=np.int64),
             live=identity_live(n),
         )
-
-    def test_round_ops_shape(self):
-        ops = self._plan().round_ops()
-        assert [type(op) for op in ops] == [
-            ScatterLabels, GatherBack, CompareLabels, FilterSurvivors,
-        ]
-        scatter = ops[0]
-        assert scatter.work_offset == 100
-        assert scatter.policy == "arbitrary"
-        assert not scatter.scalar_tail
-
-    def test_scalar_tail_set_for_tuple_plans(self):
-        ops = self._plan(arity=2).round_ops()
-        assert ops[0].scalar_tail  # §3.3 deadlock remedy
-
-    def test_program_carryover_vs_retry(self):
-        plan = self._plan()
-        carry = plan.program(carryover=True)
-        assert isinstance(carry[-1], Commit)
-        retry = plan.program(carryover=False)
-        assert len(retry) == 1 and isinstance(retry[0], LoopUntilEmpty)
-        assert isinstance(retry[0].body[-1], Commit)
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ReproError, match="arity"):
@@ -329,12 +292,6 @@ class TestPlanIR:
                 measure=np.arange(5, dtype=np.int64),
                 live=identity_live(3),
             )
-
-    def test_recorded_round_rejects_foreign_program(self):
-        from repro.backend.native import compile_round
-
-        with pytest.raises(ReproError, match="op shape"):
-            compile_round((Commit("hash"),))  # no-kind-lint
 
     def test_recorded_round_cache_is_per_shape(self):
         backend = NativeBackend()
