@@ -4,6 +4,8 @@
   process (§3.2).
 * :func:`~repro.core.fol_star.fol_star` — FOL*, L rewritten items per
   unit process with scalar-tail deadlock avoidance (§3.3).
+* :mod:`~repro.core.round` — the one filtering round both loop, and its
+  once-per-batch forms ``fol_round``/``tuple_round``.
 * :class:`~repro.core.decomposition.Decomposition` /
   :class:`~repro.core.fol_star.TupleDecomposition` — validated outputs.
 * :mod:`~repro.core.labels` — label strategies (§3.2 step 0).
