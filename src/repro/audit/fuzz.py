@@ -33,7 +33,8 @@ Suites:
   tiny batches forcing carryover recirculation;
 * ``shard`` — the K-shard engine with cross-shard transfers and an
   aggressive rebalancer, so claim/commit and live migration run under
-  audit.
+  audit; the ``processes`` scenario runs the same engine over worker
+  processes (the serving layer's transport), oracle-checked.
 
 :func:`install_els_fault` is the test-only failpoint the acceptance
 tests use: it arms :attr:`~repro.machine.memory.Memory._scatter_fault`
@@ -59,7 +60,7 @@ PATTERNS = ("dup_heavy", "zipf", "all_same", "near_unique")
 #: Core scenarios come from the registry: every kind with a
 #: ``core_fuzz`` kernel, plus raw FOL1 decomposition.
 STREAM_SCENARIOS = ("carry", "retry", "adaptive")
-SHARD_SCENARIOS = ("static", "rebalance")
+SHARD_SCENARIOS = ("static", "rebalance", "processes")
 
 SUITES = ("core", "stream", "shard")
 
@@ -327,26 +328,36 @@ def run_shard_case(
     *,
     kinds: Optional[Sequence[str]] = None,
 ) -> Optional[str]:
-    """Run one K-shard case (cross-shard xfers; optional migration)."""
+    """Run one K-shard case (cross-shard xfers; optional migration).
+    ``processes`` runs the migrating engine over worker processes on
+    ``native``: it is checked against the scalar oracle only, because
+    the invariant auditor needs ``sim`` in process."""
     from ..runtime.batcher import FixedBatcher
+    from ..serve.cluster import ProcessCluster
     from ..shard.coordinator import ShardCoordinator
 
     reqs = _build_requests(keys, kinds)
-    rebalance = scenario == "rebalance"
     if scenario not in SHARD_SCENARIOS:
         raise ReproError(f"unknown shard scenario {scenario!r}")
-    coordinator = ShardCoordinator.for_workload(
-        reqs,
+    engine = dict(
         shards=3,
         table_size=TABLE_SIZE,
         n_cells=N_CELLS,
         key_space=KEY_SPACE,
-        rebalance=rebalance,
+        rebalance=scenario != "static",
         rebalance_threshold=1.1,
         rebalance_cooldown=1,
     )
+    batcher = FixedBatcher(batch_size=7)
+    if scenario == "processes":
+        cluster = ProcessCluster.for_workload(reqs, backend="native", **engine)
+        try:
+            return _drive_service(cluster.coordinator, reqs, batcher, stats)
+        finally:
+            cluster.shutdown()
+    coordinator = ShardCoordinator.for_workload(reqs, **engine)
     coordinator.attach_audit(InvariantAuditor())
-    return _drive_service(coordinator, reqs, FixedBatcher(batch_size=7), stats)
+    return _drive_service(coordinator, reqs, batcher, stats)
 
 
 def stats_merge(into: AuditStats, other: AuditStats) -> None:

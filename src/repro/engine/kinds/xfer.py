@@ -10,9 +10,10 @@ The kind owns no state — it rides the ``"list"`` cell bank
 (:mod:`repro.engine.kinds.cells`) and routes both of its cells through
 the same domain.  When the two cells have different owners the router
 emits a cross-shard unit, resolved by the coordinator's two-phase
-claim/commit; :meth:`XferSpec.commit_cross` applies a winning unit on
-both owners' memories and :meth:`XferSpec.carry_group` assigns the
-conflict group for a claim loser.
+claim/commit; :meth:`XferSpec.commit_cross` turns a winning unit into
+word additions on both owners' cells, which the coordinator sends to
+the owners, and :meth:`XferSpec.carry_group` assigns the conflict
+group for a claim loser.
 """
 
 from __future__ import annotations
@@ -111,20 +112,15 @@ class XferSpec(WorkloadSpec):
         # conflict-group address on every shard.
         return coordinator.workers[0].cell_addr(unit.src_index)
 
-    def commit_cross(self, coordinator, unit) -> None:
-        """Apply one winning cross-shard transfer on both owners' cells
-        (value -= delta at source, += delta at destination).  The cell
-        words hold sign-tagged negated atoms, so value moves are word
-        moves with flipped sign.  Applied with uncharged stores: the
-        simulated cost is the commit payload charged by the
-        coordinator's exchange accounting."""
+    def commit_cross(self, coordinator, unit):
+        """One winning cross-shard transfer as word additions on both
+        owners' cells (value -= delta at source, += delta at
+        destination).  The cell words hold sign-tagged negated atoms,
+        so value moves are word moves with flipped sign."""
         d = unit.request.delta
-        src_w = coordinator.workers[unit.src_shard]
-        dst_w = coordinator.workers[unit.dst_shard]
-        a_src = src_w.cell_addr(unit.src_index)
-        a_dst = dst_w.cell_addr(unit.dst_index)
-        src_w.vm.mem.poke(a_src, int(src_w.vm.mem.peek(a_src)) + d)
-        dst_w.vm.mem.poke(a_dst, int(dst_w.vm.mem.peek(a_dst)) - d)
+        src = coordinator.workers[unit.src_shard].cell_addr(unit.src_index)
+        dst = coordinator.workers[unit.dst_shard].cell_addr(unit.dst_index)
+        return ((unit.src_shard, src, d), (unit.dst_shard, dst, -d))
 
     # -- differential oracle --------------------------------------------
     def cell_deltas(self, req):

@@ -217,8 +217,11 @@ class WorkloadSpec:
             f"kind {self.name!r} has no cross-shard carry semantics"
         )
 
-    def commit_cross(self, coordinator, unit) -> None:
-        """Apply one winning cross-shard unit on the owners' memories."""
+    def commit_cross(
+        self, coordinator, unit
+    ) -> Tuple[Tuple[int, int, int], ...]:
+        """One winning cross-shard unit as ``(shard, addr, delta)`` word
+        additions; the coordinator applies them on the owners."""
         raise ReproError(
             f"kind {self.name!r} has no cross-shard commit semantics"
         )

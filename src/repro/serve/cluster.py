@@ -1,514 +1,328 @@
 """K shard processes behind the single-engine ``execute(batch)`` surface.
 
-:class:`ProcessCluster` is the multi-process twin of
-:class:`~repro.shard.coordinator.ShardCoordinator` — same router, same
-two-phase claim/commit, same merged-state accessors — except the K
-workers are OS processes computing concurrently in their own shared-
-memory arenas instead of K in-process pipelines run back to back.
+:class:`ProcessCluster` is a process transport under the one
+:class:`~repro.shard.coordinator.ShardCoordinator`.  It spawns one OS
+process per shard, creates the shared segments the workers compute in,
+and hands the coordinator one :class:`ProcessShard` per worker.  The
+coordinator then runs every exchange — split, shard-local run,
+claim/commit and migration — exactly as it does over in-process
+workers, except that the K workers compute concurrently in their own
+shared-memory arenas instead of back to back.
 
-One ``execute`` call is one lockstep exchange:
+A :class:`ProcessShard` is a :class:`~repro.shard.worker.ShardWorker`
+built with the worker's identical layout and rebound onto the worker's
+shared arena.  It inherits every read — cell addresses, chains, merged
+state, fingerprints — zero-copy; reads happen only between exchanges,
+when every worker is idle at its command queue.  Each call that
+mutates the arena is one message to the owner process, so the arena
+keeps its single writer:
 
-1. **route** — the in-process :class:`~repro.shard.router.Router`
-   splits the batch exactly as the simulated coordinator would;
-2. **scatter** — each busy shard's sub-batch is encoded into its shared
-   inbox (zero-copy rows) and a tiny ``batch`` message posted to its
-   command queue.  All busy workers now run their FOL pipelines *at the
-   same time* — the wall-clock analogue of the coordinator's
-   ``max``-over-shards cycle accounting;
-3. **gather** — each reply names how many completed/carried rows the
-   worker wrote to its shared outbox; the rows are folded back onto the
-   front-end's authoritative request objects by rid;
-4. **claim/commit** — cross-shard tuples resolve first-come against the
-   batch's cell set (identical code path), and each winner's two cell
-   writes are computed by running the spec's ``commit_cross`` against a
-   recording proxy: the proxy reads live cell values straight out of
-   the owners' shared arenas but *records* the writes, which are then
-   shipped to the owner processes as ``commit`` messages — the arena's
-   single writer stays its owner, and claims guarantee the winners'
-   addresses are disjoint so record-then-apply cannot reorder effects.
+* ``submit`` encodes the slice into the shared inbox (zero-copy rows)
+  and posts a ``batch`` message; ``collect`` takes the ``done`` reply
+  and folds the outbox rows back onto the front-end's authoritative
+  request objects by rid;
+* ``add_words`` sends the coordinator's cross-shard commit additions as
+  one ``commit`` message;
+* ``can_import_chain``, ``export_*`` and ``import_*`` each send one
+  migration message (the capacity query goes to the owner, because
+  only the owner knows its bump allocator's headroom).
 
-The front-end also keeps a **mirror** :class:`ShardWorker` per shard —
-built with the identical layout, then rebound onto the worker's shared
-arena — wrapped in a real :class:`ShardCoordinator`.  The mirrors never
-execute batches; they give the merged-state accessors
-(``list_values``/``chain_multisets``/``bst_inorder``) and the scalar
-oracle (:func:`repro.audit.diff_stream_state`) a zero-copy, zero-change
-view of the cluster's global end state.  Reads happen only between
-exchanges, when every worker is idle at its command queue.
+Every reply must carry the expected tag and echo the command's
+sequence number.  A reply is awaited in slices of at most
+:data:`POLL_S` seconds, and the worker's exit code is checked between
+slices, so a dead worker raises within one slice.  ``reply_timeout``
+still bounds a worker that is alive but stops replying.
 
 ``shutdown`` is always safe to call (idempotent): it stops workers,
-joins them, snapshots each arena into the mirror (so merged state stays
+joins them, snapshots each arena into its shard (so merged state stays
 inspectable post-mortem), and unlinks every shared segment.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import queue
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..engine.spec import (
     MIGRATE_CELL,
     MIGRATE_CHAIN,
-    count_by_kind,
-    get_domain,
-    get_spec,
-    specs,
+    EngineContext,
+    machine_words,
 )
 from ..errors import ReproError
 from ..runtime.executor import BatchResult
 from ..runtime.queue import Request
 from ..shard.coordinator import ShardCoordinator
-from ..shard.migration import MigrationController
-from ..shard.partition import make_partition_map
-from ..shard.rebalance import Rebalancer
-from ..shard.router import Router
 from ..shard.worker import ShardWorker
 from . import transport
 from .proc_worker import worker_main
 from .transport import (
     MSG_BATCH,
     MSG_COMMIT,
-    MSG_COMMITTED,
     MSG_DONE,
     MSG_ERROR,
-    MSG_MIG_DONE,
     MSG_MIG_EXPORT,
     MSG_MIG_IMPORT,
     MSG_MIG_QUERY,
-    MSG_MIG_ROOM,
-    MSG_MIG_STATE,
     MSG_READY,
     MSG_STOP,
     MSG_STOPPED,
+    REPLY_TO,
     ROW_COLS,
     ShmBlock,
     WorkerConfig,
 )
 
-#: Default seconds to wait for a worker reply before declaring it dead.
+#: Default seconds to wait for a live worker's reply before giving up.
 REPLY_TIMEOUT = 120.0
+#: Longest single wait for a reply between checks that the worker lives.
+POLL_S = 0.05
 
 
-class _RecordingShard:
-    """Stand-in for one worker in ``spec.commit_cross``: structural
-    addresses and reads come from the mirror (live shared memory),
-    writes are recorded for the owner process to apply."""
+class ProcessShard(ShardWorker):
+    """One shard whose arena is owned by a worker process (see the
+    module docstring): reads are inherited, mutations are messages."""
 
-    class _Mem:
-        def __init__(self, mirror_mem, writes):
-            self._mem = mirror_mem
-            self._writes = writes
+    wall_clock = True
 
-        def peek(self, addr: int) -> int:
-            # A commit may read an address an earlier recorded write in
-            # the same exchange targeted; claims make winner addresses
-            # disjoint, but stay correct if that ever changes.
-            for a, v in reversed(self._writes):
-                if a == int(addr):
-                    return v
-            return int(self._mem.peek(addr))
+    def __init__(
+        self, shard_id: int, *, proc, cmd, res, state, inbox, outbox,
+        reply_timeout: float, **layout,
+    ) -> None:
+        super().__init__(shard_id, **layout)
+        self.vm.mem.words = state.array
+        self.proc = proc
+        self.cmd = cmd
+        self.res = res
+        self.state = state
+        self.inbox = inbox
+        self.outbox = outbox
+        self.reply_timeout = reply_timeout
+        self._seq = 0  # the worker's ``ready`` answers sequence 0
+        self._sub: Sequence[Request] = ()
 
-        def poke(self, addr: int, value: int) -> None:
-            self._writes.append((int(addr), int(value)))
+    # -- messaging -----------------------------------------------------
+    def _post(self, tag: str, *args) -> None:
+        self._seq += 1
+        self.cmd.put((tag, self._seq) + args)
 
-    class _VM:
-        def __init__(self, mem):
-            self.mem = mem
+    def _reply(self, tag: str, timeout: Optional[float] = None) -> tuple:
+        """Payload of the next reply, which must be ``tag`` answering
+        the last command; raises on worker errors, a dead worker, and
+        timeouts."""
+        msg = self._next(self.reply_timeout if timeout is None else timeout)
+        if msg[0] == MSG_ERROR:
+            raise ReproError(f"shard {self.shard_id} failed:\n{msg[2]}")
+        if msg[0] != tag or msg[2] != self._seq:
+            raise ReproError(
+                f"shard {self.shard_id}: expected {tag!r} reply to "
+                f"command {self._seq}, got {msg[0]!r} to {msg[2]}"
+            )
+        return msg[3:]
 
-    def __init__(self, mirror: ShardWorker):
-        self._mirror = mirror
-        self.writes: List[Tuple[int, int]] = []
-        self.vm = self._VM(self._Mem(mirror.vm.mem, self.writes))
+    def _next(self, timeout: float) -> tuple:
+        deadline = time.monotonic() + timeout
+        while True:
+            # Read the exit code before waiting: a worker that was
+            # already dead when a slice began has flushed all it sent.
+            code = self.proc.exitcode
+            left = max(0.0, deadline - time.monotonic())
+            try:
+                return self.res.get(timeout=min(POLL_S, left))
+            except queue.Empty:
+                pass
+            if code is not None:
+                raise ReproError(
+                    f"shard {self.shard_id} worker died (exit code {code})"
+                )
+            if time.monotonic() >= deadline:
+                raise ReproError(
+                    f"shard {self.shard_id} did not reply within {timeout}s"
+                )
 
-    def cell_addr(self, cell: int) -> int:
-        return self._mirror.cell_addr(cell)
+    def _call(self, tag: str, *args) -> tuple:
+        self._post(tag, *args)
+        return self._reply(REPLY_TO[tag])
 
+    # -- the mutating calls: one message each --------------------------
+    def submit(self, batch: Sequence[Request]) -> None:
+        self._post(MSG_BATCH, transport.encode_requests(batch, self.inbox.array))
+        self._sub = batch
 
-class _CommitRecorder:
-    """The ``coordinator`` argument ``commit_cross``/``carry_group``
-    expect, backed by recording shards."""
+    def collect(self) -> BatchResult:
+        n_done, n_carried, rounds, mult, exec_s = self._reply(MSG_DONE)
+        result = BatchResult(
+            rounds=rounds, multiplicity=mult, shard_exec_spans=(exec_s,)
+        )
+        out = self.outbox.array
+        by_rid = {req.rid: req for req in self._sub}
+        for i in range(n_done + n_carried):
+            req = by_rid[int(out[i, transport.COL_RID])]
+            transport.apply_row(req, out[i])
+            (result.completed if i < n_done else result.carried).append(req)
+        self._sub = ()
+        return result
 
-    def __init__(self, mirrors: Sequence[ShardWorker]):
-        self.workers = [_RecordingShard(m) for m in mirrors]
+    def execute(self, batch: Sequence[Request]) -> BatchResult:
+        self.submit(batch)
+        return self.collect()
 
-    def reset(self) -> None:
-        for w in self.workers:
-            w.writes.clear()
+    def add_words(self, pairs) -> None:
+        self._call(MSG_COMMIT, list(pairs))
 
-    def pending(self) -> List[Tuple[int, List[Tuple[int, int]]]]:
-        return [
-            (s, list(w.writes))
-            for s, w in enumerate(self.workers)
-            if w.writes
-        ]
+    def can_import_chain(self, n_keys: int) -> bool:
+        return self._call(MSG_MIG_QUERY, n_keys)[0]
+
+    def export_chain(self, slot: int) -> List[int]:
+        return self._call(MSG_MIG_EXPORT, MIGRATE_CHAIN, slot)[0]
+
+    def import_chain(self, slot: int, keys: List[int]) -> None:
+        self._call(MSG_MIG_IMPORT, MIGRATE_CHAIN, slot, keys)
+
+    def export_cell(self, cell: int) -> int:
+        return self._call(MSG_MIG_EXPORT, MIGRATE_CELL, cell)[0]
+
+    def import_cell(self, cell: int, value: int) -> None:
+        self._call(MSG_MIG_IMPORT, MIGRATE_CELL, cell, value)
 
 
 class ProcessCluster:
-    """K shard worker processes + shared arenas + claim/commit bridge."""
+    """K shard worker processes and their shared arenas, under one
+    :class:`ShardCoordinator`."""
 
     def __init__(
         self,
+        requests: Sequence[Request],
         *,
         shards: int,
-        table_size: int = 509,
-        n_cells: int = 64,
-        key_space: int = 4096,
-        capacities: Dict[str, int],
-        carryover: bool = True,
-        conflict_policy: str = "arbitrary",
         backend: str = "native",
-        partitioner: str = "hash",  # no-kind-lint
-        seed: int = 0,
         inbox_rows: int = 8192,
         reply_timeout: float = REPLY_TIMEOUT,
-        bins: Optional[int] = None,
-        rebalance: bool = False,
-        rebalance_objective: str = "imbalance",
-        migration: str = "all-at-once",
+        **engine,
     ) -> None:
-        from ..backend import get_backend
-        from ..engine.spec import EngineContext, machine_words
-
-        if shards <= 0:
-            raise ReproError(f"worker count must be positive, got {shards}")
-        get_backend(backend)  # fail fast on unknown names, in this process
         self.shards = shards
-        self.table_size = table_size
-        self.n_cells = n_cells
-        self.key_space = key_space
+        self.inbox_rows = inbox_rows
         self.reply_timeout = reply_timeout
-        self._alive = False
-        ctx = EngineContext(
-            table_size=table_size, n_cells=n_cells, key_space=key_space
-        )
-        words = machine_words(capacities, ctx)
-
-        partition = make_partition_map(
-            partitioner,
-            shards,
-            table_size=table_size,
-            n_cells=n_cells,
-            key_space=key_space,
-            bins=bins,
-        )
-        self.router = Router(partition)
-
-        # -- shared segments + worker processes ------------------------
-        mp_ctx = mp.get_context()
-        self._links = []
-        for s in range(shards):
-            state = ShmBlock.create((words,))
-            inbox = ShmBlock.create((inbox_rows, ROW_COLS))
-            outbox = ShmBlock.create((inbox_rows, ROW_COLS))
-            cfg = WorkerConfig(
-                shard_id=s,
-                table_size=table_size,
-                n_cells=n_cells,
-                key_space=key_space,
-                capacities=dict(capacities),
-                carryover=carryover,
-                conflict_policy=conflict_policy,
-                backend=backend,
-                seed=seed,
-                words=words,
-                inbox_rows=inbox_rows,
-                state_name=state.name,
-                inbox_name=inbox.name,
-                outbox_name=outbox.name,
-            )
-            cmd_q = mp_ctx.Queue()
-            res_q = mp_ctx.Queue()
-            proc = mp_ctx.Process(
-                target=worker_main,
-                args=(cfg, cmd_q, res_q),
-                name=f"repro-serve-shard-{s}",
-                daemon=True,
-            )
-            self._links.append(
-                {
-                    "proc": proc,
-                    "cmd": cmd_q,
-                    "res": res_q,
-                    "state": state,
-                    "inbox": inbox,
-                    "outbox": outbox,
-                }
-            )
-        for link in self._links:
-            link["proc"].start()
+        #: Shards spawned so far: shutdown releases them even when
+        #: construction fails part way.
+        self._spawned: List[ProcessShard] = []
         self._alive = True
         try:
-            for s in range(shards):
-                self._expect(s, MSG_READY)
-        except Exception:
+            #: The one coordinator over the process shards: it runs every
+            #: exchange, and its merged-state accessors and the scalar
+            #: oracle read the live cluster state (after shutdown, the
+            #: final snapshot).
+            self.coordinator = ShardCoordinator.for_workload(
+                requests, shards=shards, backend=backend,
+                make_worker=self._spawn, **engine,
+            )
+            for shard in self._spawned:
+                shard._reply(MSG_READY)
+        except BaseException:
             self.shutdown()
             raise
 
-        # -- zero-copy mirrors over the workers' arenas ----------------
-        mirrors = []
-        for s, link in enumerate(self._links):
-            mirror = ShardWorker(
-                s,
-                table_size=table_size,
-                n_cells=n_cells,
-                key_space=key_space,
-                capacities=capacities,
-                carryover=carryover,
-                conflict_policy=conflict_policy,
-                backend=backend,
-                seed=seed,
-            )
-            mirror.vm.mem.words = link["state"].array
-            mirrors.append(mirror)
-        #: Real coordinator over the mirrors: merged-state accessors and
-        #: the scalar oracle work on the live cluster state unchanged.
-        self.coordinator = ShardCoordinator(mirrors, self.router)
-        self._recorder = _CommitRecorder(mirrors)
-        self._batch_id = 0
-        self.exchanges = 0
-        self.total_cross = 0
-
-        # -- live migration across processes ---------------------------
-        # Built after the mirror coordinator (whose constructor resets
-        # the router's controller hook).  The cluster itself is the
-        # controller's mover: exports run in the source process, imports
-        # in the destination, the parent only relays between them.
-        self.rebalancer = (
-            Rebalancer(partition, objective=rebalance_objective)
-            if rebalance
-            else None
-        )
-        self.controller = (
-            MigrationController(partition, strategy=migration)
-            if rebalance
-            else None
-        )
-        self.router.controller = self.controller
-        self.total_migrations = 0
-        self.migration_skips = 0
-
-    # ------------------------------------------------------------------
     @classmethod
     def for_workload(
         cls,
         requests: Sequence[Request],
         *,
-        shards: int,
         inbox_rows: Optional[int] = None,
         **kwargs,
     ) -> "ProcessCluster":
-        """Size arenas and inboxes for ``requests`` the way
-        :meth:`ShardCoordinator.for_workload` does: every worker can
-        hold the whole workload (skew can land it all on one shard)."""
-        counts = count_by_kind(requests)
-        caps = {
-            spec.name: spec.shard_capacity(counts.get(spec.name, 0))
-            for spec in specs()
-        }
+        """A cluster sized for ``requests``: arenas as
+        :meth:`ShardCoordinator.for_workload` sizes them (every other
+        keyword goes there too), inboxes for the whole workload."""
         if inbox_rows is None:
-            inbox_rows = max(4096, len(list(requests)) + 1024)
-        return cls(
-            shards=shards, capacities=caps, inbox_rows=inbox_rows, **kwargs
+            inbox_rows = max(4096, len(requests) + 1024)
+        return cls(requests, inbox_rows=inbox_rows, **kwargs)
+
+    def _spawn(self, shard_id: int, **layout) -> ProcessShard:
+        """The coordinator's ``make_worker``: one shard's shared
+        segments, its worker process, and the shard over them."""
+        ctx = EngineContext(
+            table_size=layout["table_size"],
+            n_cells=layout["n_cells"],
+            key_space=layout["key_space"],
         )
-
-    # ------------------------------------------------------------------
-    def _expect(self, shard: int, tag: str, timeout: Optional[float] = None):
-        """Next reply from ``shard``, which must carry ``tag``; raises
-        on worker errors (with the child traceback) and timeouts."""
-        import queue as _queue
-
-        link = self._links[shard]
-        timeout = self.reply_timeout if timeout is None else timeout
-        try:
-            msg = link["res"].get(timeout=timeout)
-        except _queue.Empty:
-            raise ReproError(
-                f"shard {shard} did not reply within {timeout}s "
-                f"(alive={link['proc'].is_alive()})"
-            ) from None
-        if msg[0] == MSG_ERROR:
-            raise ReproError(f"shard {shard} failed:\n{msg[2]}")
-        if msg[0] != tag:
-            raise ReproError(
-                f"shard {shard}: expected {tag!r} reply, got {msg[0]!r}"
-            )
-        return msg
+        words = machine_words(layout["capacities"], ctx)
+        state = ShmBlock.create((words,))
+        inbox = ShmBlock.create((self.inbox_rows, ROW_COLS))
+        outbox = ShmBlock.create((self.inbox_rows, ROW_COLS))
+        cfg = WorkerConfig(
+            shard_id=shard_id,
+            table_size=ctx.table_size,
+            n_cells=ctx.n_cells,
+            key_space=ctx.key_space,
+            capacities=dict(layout["capacities"]),
+            carryover=layout["carryover"],
+            conflict_policy=layout["conflict_policy"],
+            backend=layout["backend"].name,
+            seed=layout["seed"],
+            words=words,
+            inbox_rows=self.inbox_rows,
+            state_name=state.name,
+            inbox_name=inbox.name,
+            outbox_name=outbox.name,
+        )
+        mp_ctx = mp.get_context()
+        cmd, res = mp_ctx.Queue(), mp_ctx.Queue()
+        proc = mp_ctx.Process(
+            target=worker_main,
+            args=(cfg, cmd, res),
+            name=f"repro-serve-shard-{shard_id}",
+            daemon=True,
+        )
+        proc.start()
+        shard = ProcessShard(
+            shard_id, proc=proc, cmd=cmd, res=res, state=state,
+            inbox=inbox, outbox=outbox, reply_timeout=self.reply_timeout,
+            **layout,
+        )
+        self._spawned.append(shard)
+        return shard
 
     # ------------------------------------------------------------------
     def execute(self, batch: Sequence[Request]) -> BatchResult:
-        """One lockstep exchange (see module docstring).  Matches the
-        coordinator's ``execute`` contract; ``cycles`` stays 0.0 — this
-        engine is measured in wall-clock seconds, not simulated cycles."""
-        result = BatchResult()
-        if not batch:
-            return result
-        if not self._alive:
+        """One exchange, run by the coordinator over the worker
+        processes; ``cycles`` stays 0.0 — this engine is measured in
+        wall-clock seconds, not simulated cycles."""
+        if batch and not self._alive:
             raise ReproError("cluster is shut down")
-        per_shard, cross, parked = self.router.split(batch)
-        # Parked lanes (bin mid-handoff) recirculate via the carryover
-        # path and replay once the new owner has the bin's state.
-        result.carried.extend(parked)
-        result.parked = len(parked)
-
-        # -- scatter: all busy shards compute concurrently -------------
-        self._batch_id += 1
-        busy: List[Tuple[int, List[Request]]] = []
-        for s, sub in enumerate(per_shard):
-            if not sub:
-                continue
-            n = transport.encode_requests(sub, self._links[s]["inbox"].array)
-            self._links[s]["cmd"].put((MSG_BATCH, self._batch_id, n))
-            busy.append((s, sub))
-
-        # -- gather ----------------------------------------------------
-        rounds = [0] * self.shards
-        exec_spans = [0.0] * self.shards
-        mults = [1]
-        for s, sub in busy:
-            msg = self._expect(s, MSG_DONE)
-            _, _, batch_id, n_done, n_carried, r, m, exec_s = msg
-            assert batch_id == self._batch_id
-            out = self._links[s]["outbox"].array
-            by_rid = {req.rid: req for req in sub}
-            for i in range(n_done + n_carried):
-                req = by_rid[int(out[i, transport.COL_RID])]
-                transport.apply_row(req, out[i])
-                (result.completed if i < n_done else result.carried).append(
-                    req
-                )
-            rounds[s] = r
-            exec_spans[s] = exec_s
-            mults.append(m)
-
-        # -- two-phase claim/commit over the message queues ------------
-        if cross:
-            t_claim = time.perf_counter()
-            winners, losers = self.router.resolve_claims(cross)
-            self._recorder.reset()
-            for unit in winners:
-                get_spec(unit.request.kind).commit_cross(self._recorder, unit)
-                result.completed.append(unit.request)
-            for unit in losers:
-                req = unit.request
-                req.group = get_spec(req.kind).carry_group(
-                    self._recorder, unit
-                )
-                result.carried.append(req)
-            commits = self._recorder.pending()
-            for s, writes in commits:
-                self._links[s]["cmd"].put((MSG_COMMIT, self._batch_id, writes))
-            for s, _ in commits:
-                self._expect(s, MSG_COMMITTED)
-            self.total_cross += len(cross)
-            result.cross_committed = tuple(u.request.rid for u in winners)
-            result.exchange_span = time.perf_counter() - t_claim
-
-        # -- inter-batch live migration (workers idle at their queues) -
-        if self.rebalancer is not None:
-            t_mig = time.perf_counter()
-            self.controller.admit(self.rebalancer.plan())
-            rep = self.controller.step(self)
-            result.migrations = rep.completed
-            self.total_migrations += rep.completed
-            self.migration_skips += rep.skipped
-            result.migration_span = time.perf_counter() - t_mig
-
-        result.rounds = max(rounds)
-        result.multiplicity = max(mults)
-        result.shard_exec_spans = tuple(exec_spans)
-        result.kind_counts = tuple(count_by_kind(batch).items())
-        result.shard_sizes = tuple(len(sub) for sub in per_shard)
-        result.shard_rounds = tuple(rounds)
-        result.cross_units = len(cross)
-        self.exchanges += 1
-        return result
-
-    # ------------------------------------------------------------------
-    # migration (the MigrationController's mover hook, over the queues)
-    # ------------------------------------------------------------------
-    def migrate_index(
-        self, domain: str, src: int, dst: int, index: int
-    ) -> Optional[int]:
-        """Move one domain index's state between worker *processes*;
-        returns the words shipped, or ``None`` when the destination's
-        node arena cannot take the chain (bin aborted, routing intact).
-
-        Single-writer discipline holds throughout: the export mutates
-        the source arena in the source process, the import mutates the
-        destination arena in the destination process, and the parent
-        only relays the payload between the two exchanges (both workers
-        are idle at their command queues — nothing else is running).
-        The chain keys are read zero-copy through the mirror (shared
-        words, structural addresses identical), but the *capacity* check
-        must go to the destination process: the mirror's bump allocator
-        never advances, only the owner knows its headroom.
-        """
-        self._batch_id += 1
-        xfer = self._batch_id
-        style = get_domain(domain).migration
-        if style == MIGRATE_CHAIN:
-            mirror = self.coordinator.workers[src]
-            keys = mirror.executor.table.chain(index)
-            self._links[dst]["cmd"].put((MSG_MIG_QUERY, xfer, len(keys)))
-            ok = self._expect(dst, MSG_MIG_ROOM)[3]
-            if not ok:
-                return None
-            self._links[src]["cmd"].put(
-                (MSG_MIG_EXPORT, xfer, style, index)
-            )
-            payload = self._expect(src, MSG_MIG_STATE)[3]
-            self._links[dst]["cmd"].put(
-                (MSG_MIG_IMPORT, xfer, style, index, payload)
-            )
-            self._expect(dst, MSG_MIG_DONE)
-            return 2 * len(keys) + 1  # (key, next) records + head
-        if style == MIGRATE_CELL:
-            self._links[src]["cmd"].put(
-                (MSG_MIG_EXPORT, xfer, style, index)
-            )
-            value = self._expect(src, MSG_MIG_STATE)[3]
-            self._links[dst]["cmd"].put(
-                (MSG_MIG_IMPORT, xfer, style, index, value)
-            )
-            self._expect(dst, MSG_MIG_DONE)
-            return 1
-        return 0  # MIGRATE_ROUTE: merge-on-read state, no payload
+        return self.coordinator.execute(batch)
 
     # ------------------------------------------------------------------
     def shutdown(self, join_timeout: float = 10.0) -> None:
-        """Stop workers, snapshot arenas into the mirrors, release every
-        shared segment.  Idempotent; always leaves no segments behind."""
+        """Stop workers, snapshot arenas into their shards, release
+        every shared segment.  Idempotent; always leaves no segments
+        behind."""
         if not self._alive:
             return
         self._alive = False
-        for link in self._links:
-            if link["proc"].is_alive():
-                try:
-                    link["cmd"].put((MSG_STOP,))
-                except Exception:  # pragma: no cover - queue torn down
-                    pass
-        for s, link in enumerate(self._links):
+        stopping = [s for s in self._spawned if s.proc.is_alive()]
+        for shard in stopping:
+            shard._post(MSG_STOP)
+        for shard in stopping:
             try:
-                self._expect(s, MSG_STOPPED, timeout=join_timeout)
+                shard._reply(MSG_STOPPED, timeout=join_timeout)
             except ReproError:
-                pass  # worker already dead; join/terminate below
-        for link in self._links:
-            link["proc"].join(timeout=join_timeout)
-            if link["proc"].is_alive():  # pragma: no cover - stuck worker
-                link["proc"].terminate()
-                link["proc"].join(timeout=join_timeout)
-        # Keep merged state readable after the arenas are gone: swap
-        # each mirror onto a private copy of its shard's final words.
-        if hasattr(self, "coordinator"):
-            for mirror, link in zip(self.coordinator.workers, self._links):
-                mirror.vm.mem.words = link["state"].array.copy()
-        for link in self._links:
-            for key in ("state", "inbox", "outbox"):
-                link[key].close()
-                link[key].unlink()
-            link["cmd"].close()
-            link["res"].close()
+                pass  # worker died or errored; join/kill below
+        for shard in self._spawned:
+            shard.proc.join(timeout=join_timeout)
+            if shard.proc.is_alive():  # pragma: no cover - stuck worker
+                shard.proc.kill()  # workers ignore SIGTERM
+                shard.proc.join(timeout=join_timeout)
+        for shard in self._spawned:
+            # Keep merged state readable after the arenas are gone:
+            # swap each shard onto a private copy of its final words.
+            shard.vm.mem.words = shard.state.array.copy()
+            for block in (shard.state, shard.inbox, shard.outbox):
+                block.close()
+                block.unlink()
+            shard.cmd.close()
+            shard.res.close()
 
     def __enter__(self) -> "ProcessCluster":
         return self

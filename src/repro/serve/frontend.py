@@ -86,7 +86,7 @@ class ServeFrontend:
         self.recorder = recorder
         self.queue.observer = recorder
         self.metrics.trace_recorder = recorder
-        controller = getattr(self.cluster.coordinator, "controller", None)
+        controller = self.cluster.coordinator.controller
         if controller is not None:
             controller.observer = recorder
 

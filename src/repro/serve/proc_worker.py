@@ -1,9 +1,10 @@
 """The shard worker process: one OS process owning one shard's arena.
 
 ``worker_main`` is the child entry point (top-level so it pickles under
-the ``spawn`` start method).  It rebuilds the exact
-:class:`~repro.shard.worker.ShardWorker` the front-end's mirror was
-built with — same table size, capacities and allocation order, hence
+the ``spawn`` start method).  It builds a
+:class:`~repro.shard.worker.ShardWorker` with the exact layout the
+front-end's :class:`~repro.serve.cluster.ProcessShard` was built with —
+same table size, capacities and allocation order, hence
 identical structural addresses (the invariant everything in
 :mod:`repro.shard` rests on) — then moves the machine's words into the
 shared segment the front-end created:
@@ -15,14 +16,19 @@ shared segment the front-end created:
 Every executor access goes through the ``words`` attribute (including
 the native backend's fused round, which re-fetches it per round), so
 after the rebind the worker computes *in place* in shared memory: the
-front-end's mirror reads end states and cross-shard cell values with
-zero copies and zero messages.
+front-end's process shard, built with the same layout over the same
+segment, reads end states, chains and cell values with zero copies and
+zero messages.
 
-The control loop is lockstep message-driven — run a batch, apply a
-commit, stop — and the worker only touches its own arena.  Cross-shard
-commits arrive as explicit ``(addr, value)`` word writes from the
-front-end's claim/commit resolution, preserving the single-writer
-discipline: nobody but the owner process ever writes a shard's arena.
+The control loop is lockstep and message-driven: each command from
+the front-end's process shard (:class:`~repro.serve.cluster.ProcessShard`)
+is one call on this worker — run a batch, add commit words, a
+migration query/export/import, stop — answered by one reply that
+echoes the command's sequence number.  Only this process ever writes
+its arena: cross-shard commits arrive as ``(addr, delta)`` word
+additions that the coordinator computed from the claim phase, and
+migrated state arrives as the payload the coordinator relayed from the
+source shard.
 
 Workers ignore SIGINT/SIGTERM; shutdown is always a ``stop`` message
 from the front-end (so Ctrl-C drains cleanly instead of killing
@@ -36,22 +42,18 @@ import signal
 import time
 import traceback
 
+from ..engine.spec import MIGRATE_CHAIN
 from . import transport
 from .transport import (
     MSG_BATCH,
     MSG_COMMIT,
-    MSG_COMMITTED,
-    MSG_DONE,
     MSG_ERROR,
-    MSG_MIG_DONE,
     MSG_MIG_EXPORT,
     MSG_MIG_IMPORT,
     MSG_MIG_QUERY,
-    MSG_MIG_ROOM,
-    MSG_MIG_STATE,
     MSG_READY,
     MSG_STOP,
-    MSG_STOPPED,
+    REPLY_TO,
     ROW_COLS,
     ShmBlock,
     WorkerConfig,
@@ -90,73 +92,47 @@ def worker_main(cfg: WorkerConfig, cmd_q, res_q) -> None:
         state.array[:] = mem.words  # publish the initial layout ...
         mem.words = state.array  # ... then compute in shared memory
 
-        res_q.put((MSG_READY, cfg.shard_id, os.getpid()))
+        res_q.put((MSG_READY, cfg.shard_id, 0, os.getpid()))
         while True:
-            msg = cmd_q.get()
-            tag = msg[0]
+            tag, seq, *args = cmd_q.get()
+            payload = ()
             if tag == MSG_BATCH:
-                _, batch_id, n = msg
-                batch = transport.decode_requests(inbox.array, n)
+                batch = transport.decode_requests(inbox.array, args[0])
                 t0 = time.perf_counter()
                 result = worker.execute(batch)
                 exec_s = time.perf_counter() - t0
-                n_done = transport.encode_requests(
+                transport.encode_requests(
                     result.completed + result.carried, outbox.array
                 )
-                assert n_done == len(result.completed) + len(result.carried)
-                res_q.put(
-                    (
-                        MSG_DONE,
-                        cfg.shard_id,
-                        batch_id,
-                        len(result.completed),
-                        len(result.carried),
-                        result.rounds,
-                        result.multiplicity,
-                        exec_s,
-                    )
+                payload = (
+                    len(result.completed),
+                    len(result.carried),
+                    result.rounds,
+                    result.multiplicity,
+                    exec_s,
                 )
             elif tag == MSG_COMMIT:
-                _, batch_id, writes = msg
-                for addr, value in writes:
-                    mem.words[int(addr)] = int(value)
-                res_q.put((MSG_COMMITTED, cfg.shard_id, batch_id))
+                worker.add_words(args[0])
             elif tag == MSG_MIG_QUERY:
-                # Capacity must be answered here: the front-end mirror's
-                # bump allocator never advances (allocations happen in
-                # this process), so only this side knows the headroom.
-                _, xfer_id, n_keys = msg
-                res_q.put(
-                    (
-                        MSG_MIG_ROOM,
-                        cfg.shard_id,
-                        xfer_id,
-                        bool(worker.can_import_chain(int(n_keys))),
-                    )
-                )
+                # Capacity must be answered here: the front-end's shard
+                # never allocates (allocations happen in this process),
+                # so only this side knows the bump allocator's headroom.
+                payload = (bool(worker.can_import_chain(args[0])),)
             elif tag == MSG_MIG_EXPORT:
-                from ..engine.spec import MIGRATE_CHAIN
-
-                _, xfer_id, style, index = msg
-                if style == MIGRATE_CHAIN:
-                    payload = worker.executor.table.chain(int(index))
-                    worker.export_chain(int(index))
-                else:  # MIGRATE_CELL
-                    payload = worker.export_cell(int(index))
-                res_q.put((MSG_MIG_STATE, cfg.shard_id, xfer_id, payload))
+                style, index = args
+                chain = style == MIGRATE_CHAIN
+                export = worker.export_chain if chain else worker.export_cell
+                payload = (export(index),)
             elif tag == MSG_MIG_IMPORT:
-                from ..engine.spec import MIGRATE_CHAIN
-
-                _, xfer_id, style, index, payload = msg
-                if style == MIGRATE_CHAIN:
-                    worker.import_chain(int(index), payload)
-                else:  # MIGRATE_CELL
-                    worker.import_cell(int(index), int(payload))
-                res_q.put((MSG_MIG_DONE, cfg.shard_id, xfer_id))
-            elif tag == MSG_STOP:
-                res_q.put(
-                    (MSG_STOPPED, cfg.shard_id, worker.batches, worker.lanes)
+                style, index, moved = args
+                chain = style == MIGRATE_CHAIN
+                (worker.import_chain if chain else worker.import_cell)(
+                    index, moved
                 )
+            elif tag == MSG_STOP:
+                payload = (worker.batches, worker.lanes)
+            res_q.put((REPLY_TO[tag], cfg.shard_id, seq) + payload)
+            if tag == MSG_STOP:
                 break
     except BaseException:  # report, don't die silently
         res_q.put((MSG_ERROR, cfg.shard_id, traceback.format_exc()))

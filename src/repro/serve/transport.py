@@ -9,9 +9,9 @@ Two channels connect the front-end to each worker process:
   and read back from the outbox without serialising a single Python
   object;
 * **message queues** (``multiprocessing.Queue``) for the small control
-  plane — "run inbox rows 0..n", "apply these commit words", "stop" —
-  mirroring the claim/commit RTTs the simulated coordinator charges
-  explicitly (see docs/sharding.md §3).
+  plane — "run inbox rows 0..n", "add these commit words", the
+  migration handoff, "stop" — mirroring the claim/commit RTTs the
+  simulated coordinator charges explicitly (see docs/sharding.md §3).
 
 The request row codec is the wire format: one request is the ten int64
 columns below.  ``kind`` travels as its index into
@@ -51,10 +51,10 @@ ROW_COLS = 10
 MSG_BATCH = "batch"
 MSG_COMMIT = "commit"
 MSG_STOP = "stop"
-#: Live-migration handoff tags (front-end -> worker).  The front-end
-#: orchestrates each index transfer as query-capacity (destination),
-#: export (source), import (destination); state only ever moves between
-#: the owner processes, never through the parent's hands as a write.
+#: Live-migration handoff tags (front-end -> worker).  The coordinator
+#: runs each index transfer as query-capacity (destination), export
+#: (source), import (destination); only the owner processes ever write
+#: the state, the parent just relays it.
 MSG_MIG_QUERY = "mig_query"
 MSG_MIG_EXPORT = "mig_export"
 MSG_MIG_IMPORT = "mig_import"
@@ -68,6 +68,18 @@ MSG_ERROR = "error"
 MSG_MIG_ROOM = "mig_room"
 MSG_MIG_STATE = "mig_state"
 MSG_MIG_DONE = "mig_done"
+#: The reply each command gets.  Every command is ``(tag, seq, *args)``
+#: and every reply ``(tag, shard_id, seq, *payload)``, echoing the
+#: command's sequence number (``ready`` answers sequence 0); an
+#: ``error`` reply is ``(tag, shard_id, traceback)``.
+REPLY_TO = {
+    MSG_BATCH: MSG_DONE,
+    MSG_COMMIT: MSG_COMMITTED,
+    MSG_MIG_QUERY: MSG_MIG_ROOM,
+    MSG_MIG_EXPORT: MSG_MIG_STATE,
+    MSG_MIG_IMPORT: MSG_MIG_DONE,
+    MSG_STOP: MSG_STOPPED,
+}
 
 _WORD = np.int64
 
@@ -212,9 +224,9 @@ class WorkerConfig:
     """Everything a worker process needs to rebuild its shard (picklable
     and spawn-safe: the backend travels by registry name, shared
     segments by name, and the layout parameters by value — the worker
-    reconstructs the exact :class:`~repro.shard.worker.ShardWorker` the
-    front-end's mirror was built with, which is what makes structural
-    addresses identical on both sides)."""
+    builds a :class:`~repro.shard.worker.ShardWorker` with the exact
+    layout of the front-end's process shard, which is what makes
+    structural addresses identical on both sides)."""
 
     shard_id: int
     table_size: int

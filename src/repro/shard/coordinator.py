@@ -4,19 +4,27 @@
 BatchResult`` surface as :class:`~repro.runtime.executor.StreamExecutor`,
 so :class:`~repro.runtime.service.StreamService` drives it unchanged —
 the admission queue, batching policy and coordinator-level carryover
-buffer all work exactly as in the single-pipeline runtime.  Inside one
+buffer all work exactly as in the single-pipeline runtime.  It is the
+only code that runs a shard exchange, for both kinds of shard: the
+in-process :class:`~repro.shard.worker.ShardWorker` and the serving
+layer's process shard (:mod:`repro.serve.cluster`), which sends each
+mutating call to the process that owns its arena.  Inside one
 ``execute`` call:
 
 1. **route** — the :class:`~repro.shard.router.Router` splits the batch
    into per-shard sub-batches plus cross-shard ``"xfer"`` units;
-2. **local execution** — each busy worker runs its slice through its
-   own FOL pipeline.  The workers are independent machines over
+2. **local execution** — every busy worker is handed its slice
+   (``submit``) before any result is taken (``collect``), so process
+   shards compute at the same time; an in-process worker runs its
+   slice on submit.  The workers are independent machines over
    disjoint address sets, so the batch's local cost is
    ``max`` over per-shard cycle deltas — the makespan of K concurrent
    pipelines — not their sum;
 3. **claim/commit** — cross-shard units that won their first-come
-   claims commit (the coordinator applies both cell updates on the
-   owners' memories); losers are carried like any filtered lane.
+   claims commit: the spec's ``commit_cross`` turns each winner into
+   word additions, which the coordinator groups per owner and applies
+   with one ``add_words`` call per owner; losers are carried like any
+   filtered lane.
    The exchange is charged explicitly: one overlapped claim RTT and
    one commit RTT (``shard_claim_rtt``) per batch that has cross
    units, plus ``shard_transfer_per_word`` for the claim (2 words) and
@@ -24,7 +32,7 @@ buffer all work exactly as in the single-pipeline runtime.  Inside one
 4. **rebalance** (optional) — between batches the
    :class:`~repro.shard.rebalance.Rebalancer` plans hot-*bin* moves and
    the :class:`~repro.shard.migration.MigrationController` paces them
-   (``all-at-once`` / ``batched`` / ``fluid``); the coordinator is the
+   (``all-at-once`` / ``batched``); the coordinator is the
    controller's *mover* (:meth:`migrate_index`), performing the
    physical per-index transfers (chain re-link, cell delta transfer,
    BST re-route) and charging one control RTT per bin engaged per gap
@@ -33,6 +41,11 @@ buffer all work exactly as in the single-pipeline runtime.  Inside one
    carryover path until the bin flips (see
    :mod:`repro.shard.migration`).  Migration cycles are attributed to
    the batch that just finished, i.e. the inter-batch gap they occupy.
+
+Over process shards the coordinator charges no cycles: it reports the
+workers' measured execute spans and its own claim/commit and migration
+phases in wall seconds (``BatchResult.shard_exec_spans``,
+``exchange_span``, ``migration_span``).
 
 Merged state accessors (:meth:`list_values`, :meth:`chain_multisets`,
 :meth:`bst_inorder`) define the global state a K-shard engine
@@ -44,7 +57,8 @@ against one-shot FOL1 on a single pipeline.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import time
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,6 +103,9 @@ class ShardCoordinator:
         self.router = router
         self.shards = len(workers)
         self.backend = workers[0].executor.backend
+        #: Process shards run on the wall clock: the coordinator then
+        #: charges no cycles and reports its phases in seconds.
+        self.wall_clock = workers[0].wall_clock
         self.cost = cost_model if cost_model is not None else CostModel.s810()
         self.rebalancer = rebalancer
         if rebalancer is not None and controller is None:
@@ -130,6 +147,7 @@ class ShardCoordinator:
         rebalance_objective: str = "imbalance",
         bins: Optional[int] = None,
         migration: str = "all-at-once",
+        make_worker: Callable[..., ShardWorker] = ShardWorker,
     ) -> "ShardCoordinator":
         """Build a K-shard engine sized for ``requests``.
 
@@ -139,6 +157,8 @@ class ShardCoordinator:
         any fraction of it on one shard.  Hash node arenas get extra
         headroom because chain migration re-allocates nodes at the
         destination (bump arenas never reclaim the source's records).
+        ``make_worker(shard_id, **layout)`` builds each shard; the
+        serving layer passes one that spawns a worker process.
         """
         from ..backend import resolve_backend
 
@@ -156,7 +176,7 @@ class ShardCoordinator:
             for spec in specs()
         }
         workers = [
-            ShardWorker(
+            make_worker(
                 s,
                 table_size=table_size,
                 n_cells=n_cells,
@@ -268,66 +288,86 @@ class ShardCoordinator:
         result.parked = len(parked)
 
         # -- concurrent shard-local execution --------------------------
+        # Every busy shard gets its slice before any is collected, so
+        # process shards compute at the same time.
+        busy = [s for s, sub in enumerate(per_shard) if sub]
+        for s in busy:
+            self.workers[s].submit(per_shard[s])
         local_cycles = [0.0] * self.shards
+        local_spans = [0.0] * self.shards
         local_rounds = [0] * self.shards
         mults = [1]
-        for s, sub in enumerate(per_shard):
-            if not sub:
-                continue
-            r = self.workers[s].execute(sub)
+        for s in busy:
+            r = self.workers[s].collect()
             result.completed.extend(r.completed)
             result.carried.extend(r.carried)
             local_cycles[s] = r.cycles
+            local_spans[s] = (
+                r.shard_exec_spans[0] if self.wall_clock else r.cycles
+            )
             local_rounds[s] = r.rounds
             mults.append(r.multiplicity)
 
         # -- two-phase claim/commit for cross-shard tuples -------------
         exchange = 0.0
         if cross:
+            t0 = time.perf_counter()
             winners, losers = self.router.resolve_claims(cross)
             result.cross_committed = tuple(u.request.rid for u in winners)
+            adds: Dict[int, List[Tuple[int, int]]] = {}
             for unit in winners:
-                get_spec(unit.request.kind).commit_cross(self, unit)
+                spec = get_spec(unit.request.kind)
+                for s, addr, delta in spec.commit_cross(self, unit):
+                    adds.setdefault(s, []).append((addr, delta))
                 result.completed.append(unit.request)
             for unit in losers:
                 req = unit.request
                 req.group = get_spec(req.kind).carry_group(self, unit)
                 result.carried.append(req)
+            for s, pairs in adds.items():
+                self.workers[s].add_words(pairs)
             if self.backend.calibrated:
                 exchange = 2 * self.cost.shard_claim_rtt
                 exchange += self.cost.shard_transfer_per_word * (
                     _CLAIM_WORDS * len(cross) + _COMMIT_WORDS * len(winners)
                 )
+            exchange, result.exchange_span = self._phase(t0, exchange)
             self.exchange_cycles += exchange
             self.total_cross += len(cross)
 
         # -- inter-batch live migration --------------------------------
         migration = 0.0
-        n_moves = 0
         if self.rebalancer is not None:
+            t0 = time.perf_counter()
             self.controller.admit(self.rebalancer.plan())
             rep = self.controller.step(self)
             if self.backend.calibrated:
                 migration = self.cost.shard_claim_rtt * rep.rtts
                 migration += self.cost.shard_transfer_per_word * rep.words
+            migration, result.migration_span = self._phase(t0, migration)
             self.migration_cycles += migration
-            n_moves = rep.completed
+            result.migrations = rep.completed
             self.total_migrations += rep.completed
             self.migration_skips += rep.skipped
 
         result.rounds = max(local_rounds)
         result.multiplicity = max(mults)
         result.cycles = max(local_cycles) + exchange + migration
-        result.exchange_span = exchange
-        result.migration_span = migration
-        result.shard_exec_spans = tuple(local_cycles)
+        result.shard_exec_spans = tuple(local_spans)
         result.kind_counts = tuple(count_by_kind(batch).items())
         result.shard_sizes = tuple(len(sub) for sub in per_shard)
         result.shard_cycles = tuple(local_cycles)
         result.shard_rounds = tuple(local_rounds)
         result.cross_units = len(cross)
-        result.migrations = n_moves
         return result
+
+    def _phase(self, t0: float, cycles: float) -> Tuple[float, float]:
+        """(cycles charged, span reported) for an exchange phase that
+        began at ``t0``: the simulated ``cycles`` in process, or no
+        charge and the measured wall seconds over process shards."""
+        if self.wall_clock:
+            return 0.0, time.perf_counter() - t0
+        return cycles, cycles
 
     # ------------------------------------------------------------------
     # migration (the MigrationController's mover hook)
@@ -344,7 +384,11 @@ class ShardCoordinator:
         engine degrades to a frozen partition rather than failing.  The
         routing flip is the controller's job, *after* the whole bin has
         landed; every intermediate state is merge-correct (chains are
-        per-slot multiset unions, cells are sums over shards).
+        per-slot multiset unions, cells are sums over shards).  On a
+        process shard the capacity query, the export and the import are
+        each one message to the owning process (only the destination's
+        owner knows its bump allocator's headroom); the chain keys are
+        read through the shard's shared view.
         """
         src_w = self.workers[src]
         dst_w = self.workers[dst]

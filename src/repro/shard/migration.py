@@ -3,10 +3,10 @@
 The :class:`~repro.shard.rebalance.Rebalancer` decides *which* bins
 should move; this module decides *how fast* they move and keeps the
 owner-computes discipline intact while they are in flight.  The
-controller sits between the planner and the engine that owns the
-workers (the in-process :class:`~repro.shard.coordinator.
-ShardCoordinator` or the multi-process :class:`~repro.serve.cluster.
-ProcessCluster`) and drives one **mover** callback per domain index:
+controller sits between the planner and the
+:class:`~repro.shard.coordinator.ShardCoordinator`, the one mover for
+both kinds of shard (in-process workers and the serving layer's
+process shards), and drives one **mover** callback per domain index:
 
     ``mover.migrate_index(domain, src, dst, index) -> words | None``
 
@@ -31,15 +31,13 @@ and claim/commit correctness: a cross-shard tuple touching an
 in-flight bin is parked *before* the claim phase, so there is no claim
 to drop or double-apply across the handoff.
 
-Three pacing strategies (CLI ``--migration``), per inter-batch gap:
+Two pacing strategies (CLI ``--migration``), per inter-batch gap; both
+move whole bins:
 
 * ``all-at-once`` — every planned bin transfers completely in the gap
   it was planned; maximum reconfiguration spike, minimum time-to-home.
 * ``batched`` — at most ``bins_per_gap`` whole bins per gap; later
   bins stay queued (and their requests parked) until their turn.
-* ``fluid`` — at most ``indices_per_gap`` index transfers per gap,
-  spread FIFO across the queued bins; a bin flips the moment its last
-  index lands.  Smoothest cycle profile, longest handoff window.
 """
 
 from __future__ import annotations
@@ -53,16 +51,15 @@ from .rebalance import Migration
 
 #: Pacing strategies understood by :class:`MigrationController`
 #: (the CLI ``--migration`` choices).
-PACING_STRATEGIES = ("all-at-once", "batched", "fluid")
+PACING_STRATEGIES = ("all-at-once", "batched")
 
 
 @dataclass
 class BinTransfer:
-    """One bin's in-flight transfer: the plan plus remaining indices."""
+    """One bin's in-flight transfer: the plan plus the bin's indices."""
 
     move: Migration
-    indices: List[int]  # domain indices not yet shipped
-    total: int  # indices the bin held when admitted
+    indices: List[int]  # domain indices the bin held when admitted
 
     @property
     def key(self) -> Tuple[str, int]:
@@ -90,7 +87,6 @@ class MigrationController:
         *,
         strategy: str = "all-at-once",
         bins_per_gap: int = 2,
-        indices_per_gap: int = 16,
     ) -> None:
         if strategy not in PACING_STRATEGIES:
             raise ReproError(
@@ -101,14 +97,9 @@ class MigrationController:
             raise ReproError(
                 f"bins per gap must be positive, got {bins_per_gap}"
             )
-        if indices_per_gap <= 0:
-            raise ReproError(
-                f"indices per gap must be positive, got {indices_per_gap}"
-            )
         self.partition = partition
         self.strategy = strategy
         self.bins_per_gap = bins_per_gap
-        self.indices_per_gap = indices_per_gap
         self._queue: List[BinTransfer] = []
         self._in_flight: Dict[Tuple[str, int], BinTransfer] = {}
         self.bins_admitted = 0
@@ -148,7 +139,7 @@ class MigrationController:
             if table.bin_owner_of(mv.bin) != mv.src:
                 continue  # stale plan; ownership moved under the planner
             indices = [int(i) for i in table.indices_in_bin(mv.bin)]
-            transfer = BinTransfer(mv, indices, len(indices))
+            transfer = BinTransfer(mv, indices)
             self._queue.append(transfer)
             self._in_flight[key] = transfer
             self.bins_admitted += 1
@@ -162,56 +153,31 @@ class MigrationController:
         report = StepReport()
         if not self._queue:
             return report
-        bins_budget = (
-            self.bins_per_gap if self.strategy == "batched" else None
-        )
-        index_budget = (
-            self.indices_per_gap if self.strategy == "fluid" else None
-        )
-        queue, self._queue = self._queue, []
-        bins_engaged = 0
-        for transfer in queue:
-            out_of_budget = (
-                bins_budget is not None and bins_engaged >= bins_budget
-            ) or (index_budget is not None and index_budget <= 0)
-            if out_of_budget:
-                self._queue.append(transfer)  # keeps FIFO order
-                continue
+        queue = self._queue
+        budget = self.bins_per_gap if self.strategy == "batched" else len(queue)
+        # Bins past the budget stay queued, in FIFO order.
+        engaged, self._queue = queue[:budget], queue[budget:]
+        for transfer in engaged:
             mv = transfer.move
-            moved_any = False
-            aborted = False
-            while transfer.indices:
-                if index_budget is not None and index_budget <= 0:
-                    break
-                idx = transfer.indices[0]
+            report.rtts += 1  # one control round trip per bin engaged
+            refused = False
+            for idx in transfer.indices:
                 words = mover.migrate_index(mv.domain, mv.src, mv.dst, idx)
                 if words is None:
-                    aborted = True
+                    refused = True
                     break
-                transfer.indices.pop(0)
-                moved_any = True
                 report.words += int(words)
-                if index_budget is not None:
-                    index_budget -= 1
-            if aborted:
-                del self._in_flight[transfer.key]
+            del self._in_flight[transfer.key]
+            if refused:
+                # The bin stays with its source; indices already shipped
+                # stay merge-correct where they landed.
                 report.skipped += 1
                 self.bins_skipped += 1
-                bins_engaged += 1
-                report.rtts += 1  # the refused probe still cost a trip
                 continue
-            if transfer.indices:
-                self._queue.append(transfer)  # fluid: resumes next gap
-            else:
-                table = self.partition.domain(mv.domain)
-                table.move_bin(mv.bin, mv.dst)
-                del self._in_flight[transfer.key]
-                report.completed += 1
-                report.flipped.append(transfer)
-                self.bins_completed += 1
-            if moved_any or not transfer.indices:
-                bins_engaged += 1
-                report.rtts += 1
-        if self.observer is not None and (report.rtts or report.completed):
+            self.partition.domain(mv.domain).move_bin(mv.bin, mv.dst)
+            report.completed += 1
+            report.flipped.append(transfer)
+            self.bins_completed += 1
+        if self.observer is not None:
             self.observer.migration_step(report)
         return report

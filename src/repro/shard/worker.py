@@ -19,10 +19,14 @@ every shard.  Two things depend on this:
 * migration can move a chain between shards by address-preserving
   re-linking rather than rewriting pointers.
 
-The worker also provides the migration primitives
-(:meth:`export_chain`/:meth:`import_chain`,
-:meth:`export_cell`/:meth:`import_cell`) that
-:mod:`repro.shard.rebalance` drives.  These use uncharged debug access:
+The coordinator drives a worker through a small surface:
+:meth:`submit`/:meth:`collect` for its slice of an exchange,
+:meth:`add_words` for cross-shard commits, and the migration primitives
+(:meth:`can_import_chain`, :meth:`export_chain`/:meth:`import_chain`,
+:meth:`export_cell`/:meth:`import_cell`).  Every other access is a
+read.  A subclass whose arena lives in another process (the serving
+layer's process shard) overrides these calls and :meth:`execute`,
+and inherits every read.  The mutating calls use uncharged debug access:
 the *simulated* cost of a migration is charged explicitly by the
 coordinator from the cost model's ``shard_transfer_per_word`` /
 ``shard_claim_rtt`` fields, not by replaying the moves through a
@@ -32,7 +36,7 @@ is not its vector unit).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..engine.spec import EngineContext, machine_words, resolve_capacities
 from ..lists.cells import encode_atom
@@ -44,6 +48,11 @@ from ..runtime.queue import Request
 
 class ShardWorker:
     """One owner-computes shard wrapping the single-pipeline executor."""
+
+    #: False: the shard charges simulated cycles.  A shard that runs in
+    #: another process reports wall seconds instead, and the coordinator
+    #: then charges nothing (see ShardCoordinator.execute).
+    wall_clock = False
 
     def __init__(
         self,
@@ -88,6 +97,7 @@ class ShardWorker:
         self.vm = vm
         self.batches = 0
         self.lanes = 0
+        self._result: Optional[BatchResult] = None
 
     # ------------------------------------------------------------------
     # invariant auditing (opt-in; zero cost when off)
@@ -115,6 +125,25 @@ class ShardWorker:
         self.batches += 1
         self.lanes += len(batch)
         return result
+
+    def submit(self, batch: Sequence[Request]) -> None:
+        """Start this shard's slice of an exchange; :meth:`collect`
+        returns its result.  In process the slice runs right here, so
+        shards run in submit order."""
+        self._result = self.execute(batch)
+
+    def collect(self) -> BatchResult:
+        """The result of the last :meth:`submit`."""
+        result, self._result = self._result, None
+        return result
+
+    def add_words(self, pairs: Sequence[Tuple[int, int]]) -> None:
+        """Add each ``(addr, delta)`` to this shard's words: the
+        cross-shard commit (uncharged; the coordinator charges the
+        commit payload)."""
+        mem = self.vm.mem
+        for addr, delta in pairs:
+            mem.poke(addr, int(mem.peek(addr)) + int(delta))
 
     # ------------------------------------------------------------------
     # migration primitives (uncharged here; coordinator charges cycles)

@@ -109,7 +109,7 @@ class TestCliBadInput:
          "--migration", "dribble"],
         # pacing without migration enabled
         ["stream", "--requests", "10", "--shards", "2",
-         "--migration", "fluid"],
+         "--migration", "batched"],
         # the serve front-end validates the same pair before spawning
         ["serve", "--workers", "2", "--requests", "10",
          "--migration", "batched"],

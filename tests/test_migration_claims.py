@@ -11,16 +11,17 @@ onto the carryover path *before* the claim phase sees it, and the lane
 replays on the new owner once the bin flips.  These tests drive that
 window deterministically:
 
-* fluid pacing with ``indices_per_gap=1`` holds a bin in flight across
-  several micro-batches while an xfer keeps arriving (parked, parked,
-  …, replayed);
+* batched pacing with ``bins_per_gap=1`` and two admitted bins holds
+  the xfer's source bin in flight, queued behind its destination bin,
+  across two micro-batches while the xfer keeps arriving (parked,
+  parked, replayed as a cross-shard claim on the new owners);
 * a claim *loser* carried out of a genuine cross-shard claim round is
   replayed across a bin flip (its destination cell changes owner while
   it waits), and must apply exactly once on the new owner;
-* the in-process :class:`ShardCoordinator` and the multi-OS-process
-  :class:`ProcessCluster` run the same schedules (the cluster's mover
-  ships state over mp queues — query/export/import — instead of direct
-  memory access).
+* every race runs over both kinds of shard: in-process workers and
+  worker processes behind a :class:`ProcessCluster`, where the same
+  coordinator sends each migration step (query/export/import) and
+  each commit to the owning process as a message.
 
 Every test closes by checking the merged state against one-shot FOL1
 on a single pipeline (the equivalence oracle), so exactly-once is
@@ -32,6 +33,7 @@ import pytest
 from repro.audit.oracle import diff_stream_state
 from repro.machine import CostModel
 from repro.runtime import Request, StreamExecutor
+from repro.serve import ProcessCluster
 from repro.shard import (
     Migration,
     MigrationController,
@@ -43,7 +45,19 @@ TABLE_SIZE = 11
 N_CELLS = 8
 KEY_SPACE = 13
 SHARDS = 2
-BINS = 2  # 2 bins over 8 cells -> 4 cells per bin, multi-gap fluid drain
+BINS = 2  # 2 bins over 8 cells -> 4 cells per bin
+#: K=2 engine with migration under manual control: the rebalancer's
+#: threshold is unreachable, so no bin moves unless a test admits one.
+ENGINE = dict(
+    shards=SHARDS,
+    partitioner="hash",  # no-kind-lint
+    rebalance=True,
+    rebalance_threshold=1e9,
+    table_size=TABLE_SIZE,
+    n_cells=N_CELLS,
+    key_space=KEY_SPACE,
+    bins=BINS,
+)
 
 
 def fresh(requests):
@@ -53,6 +67,14 @@ def fresh(requests):
                 delta=r.delta)
         for r in requests
     ]
+
+
+def oracle_clean(coord, applied):
+    """The merged end state matches the scalar oracle over ``applied``."""
+    return diff_stream_state(
+        coord, applied,
+        table_size=TABLE_SIZE, n_cells=N_CELLS, key_space=KEY_SPACE,
+    ) is None
 
 
 def one_shot_state(requests):
@@ -72,33 +94,6 @@ def one_shot_state(requests):
     return chains, executor.list_values()
 
 
-def build_coordinator(all_requests, *, strategy, indices_per_gap=1):
-    """K=2 coordinator with migration under manual control: the
-    rebalancer's threshold is unreachable (no organic plans) and the
-    test admits bin moves directly to a controller with the requested
-    pacing."""
-    coord = ShardCoordinator.for_workload(
-        fresh(all_requests),
-        shards=SHARDS,
-        partitioner="hash",
-        rebalance=True,
-        rebalance_threshold=1e9,
-        table_size=TABLE_SIZE,
-        n_cells=N_CELLS,
-        key_space=KEY_SPACE,
-        cost_model=FREE,
-        bins=BINS,
-    )
-    ctl = MigrationController(
-        coord.router.partition,
-        strategy=strategy,
-        indices_per_gap=indices_per_gap,
-    )
-    coord.controller = ctl
-    coord.router.controller = ctl
-    return coord, ctl
-
-
 PRIME = [
     Request(rid=100 + c, kind="list", key=c, delta=10)
     for c in range(N_CELLS)
@@ -107,14 +102,45 @@ FILLERS = [Request(rid=200 + i, kind="hash", key=i, delta=1)
            for i in range(8)]
 
 
-class TestInProcessRaces:
-    def test_xfer_parked_through_fluid_handoff_applies_once(self):
-        """An xfer arriving while its source cell's bin is mid-handoff
-        parks (never claims), keeps parking while the drain continues,
-        and applies exactly once on the new owner after the flip."""
+class _Races:
+    """Each race is one body, run once per kind of shard (the two
+    subclasses below)."""
+
+    processes = False
+
+    @pytest.fixture(autouse=True)
+    def _shutdown_clusters(self):
+        self.clusters = []
+        yield
+        for cluster in self.clusters:
+            cluster.shutdown()
+
+    def build(self, all_requests, **pacing):
+        """The K=2 coordinator over this class's kind of shard, with a
+        fresh controller under the requested pacing."""
+        if self.processes:
+            cluster = ProcessCluster.for_workload(
+                fresh(all_requests), backend="native", **ENGINE
+            )
+            self.clusters.append(cluster)
+            coord = cluster.coordinator
+        else:
+            coord = ShardCoordinator.for_workload(
+                fresh(all_requests), cost_model=FREE, **ENGINE
+            )
+        ctl = MigrationController(coord.router.partition, **pacing)
+        coord.controller = ctl
+        coord.router.controller = ctl
+        return coord, ctl
+
+    def test_xfer_parked_through_handoff_applies_once(self):
+        """An xfer arriving while its source cell's bin is queued behind
+        its destination cell's bin parks (never claims), keeps parking
+        until its source bin's turn, and applies exactly once on the new
+        owners after both flips."""
         xfer = Request(rid=0, kind="xfer", key=0, key2=1, delta=3)
-        coord, ctl = build_coordinator(
-            PRIME + FILLERS + [xfer], strategy="fluid", indices_per_gap=1
+        coord, ctl = self.build(
+            PRIME + FILLERS + [xfer], strategy="batched", bins_per_gap=1
         )
         applied = []
 
@@ -123,46 +149,51 @@ class TestInProcessRaces:
         assert len(r.completed) == len(PRIME)
 
         # Bin 0 of the list domain = cells {0, 2, 4, 6}, owned by shard
-        # 0 under the 2-bin hash layout; 4 fluid gaps to drain.
+        # 0 under the 2-bin hash layout, and bin 1 = cells {1, 3, 5, 7},
+        # owned by shard 1.  One bin moves per gap: the destination
+        # cell's bin 1 first, then the source cell's bin 0.
         table = coord.router.partition.domain("list")
         assert sorted(table.indices_in_bin(0)) == [0, 2, 4, 6]
-        assert table.bin_owner_of(0) == 0
-        ctl.admit([Migration("list", 0, 0, 1, 1.0)])
-        assert ctl.pending == 1
+        assert table.bin_owner_of(0) == 0 and table.bin_owner_of(1) == 1
+        ctl.admit([
+            Migration("list", 1, 1, 0, 1.0),
+            Migration("list", 0, 0, 1, 1.0),
+        ])
+        assert ctl.pending == 2
 
         live = fresh([xfer])
         fillers = fresh(FILLERS)
         r = coord.execute(live + fillers[:2])
         applied.extend(r.completed)
         # Parked, not claimed: the xfer rode the carryover path and the
-        # cells are untouched while the bin is split across shards.
+        # cells are untouched while its bin waits for its turn.
         assert r.parked == 1
         assert live[0] in r.carried
         assert live[0] not in r.completed
         assert coord.list_values()[0] == 10 and coord.list_values()[1] == 10
-        assert ctl.pending == 1  # one index shipped, three to go
+        assert ctl.pending == 1  # bin 1 moved, bin 0 waits its turn
+        assert table.bin_owner_of(1) == 0 and table.bin_owner_of(0) == 0
 
-        # Re-offering the parked lane while the drain continues parks
-        # it again — it can never slip in mid-handoff.
-        gaps = 0
-        while ctl.pending:
-            r = coord.execute([live[0], fillers[2 + gaps]])
-            applied.extend(r.completed)
-            assert live[0] not in r.completed
-            gaps += 1
-            assert gaps < 8, "fluid drain failed to finish"
+        # Re-offering the parked lane before its bin flips parks it
+        # again — it can never slip in mid-handoff.
+        r = coord.execute([live[0], fillers[2]])
+        applied.extend(r.completed)
+        assert r.parked == 1 and live[0] not in r.completed
+        assert ctl.pending == 0
         assert table.bin_owner_of(0) == 1
-        assert ctl.parked_requests >= 3
+        assert ctl.parked_requests == 2
 
-        # Replay on the new owner: both cells now live on shard 1, so
-        # the transfer is shard-local and must complete.
+        # Replay on the new owners: the cells swapped shards, so the
+        # transfer is cross-shard, wins its claim and must commit.
         r = coord.execute([live[0]])
         applied.extend(r.completed)
         assert live[0] in r.completed
+        assert r.cross_committed == (xfer.rid,)
 
         rids = [req.rid for req in applied]
         assert sorted(rids) == sorted(set(rids)), "a lane applied twice"
         assert xfer.rid in rids
+        assert oracle_clean(coord, applied)
         chains, cells = one_shot_state(applied)
         assert coord.chain_multisets() == chains
         assert coord.list_values() == cells
@@ -175,7 +206,7 @@ class TestInProcessRaces:
         during the handoff and apply exactly once afterwards."""
         xfer_a = Request(rid=0, kind="xfer", key=0, key2=1, delta=3)
         xfer_b = Request(rid=1, kind="xfer", key=1, key2=2, delta=5)
-        coord, ctl = build_coordinator(
+        coord, ctl = self.build(
             PRIME + FILLERS + [xfer_a, xfer_b], strategy="all-at-once"
         )
         applied = []
@@ -211,6 +242,7 @@ class TestInProcessRaces:
 
         rids = [req.rid for req in applied]
         assert sorted(rids) == sorted(set(rids)), "a lane applied twice"
+        assert oracle_clean(coord, applied)
         chains, cells = one_shot_state(applied)
         assert coord.chain_multisets() == chains
         assert coord.list_values() == cells
@@ -221,7 +253,7 @@ class TestInProcessRaces:
         """all-at-once and batched move whole bins per gap, so a parked
         xfer replays successfully on the very next batch."""
         xfer = Request(rid=0, kind="xfer", key=0, key2=1, delta=3)
-        coord, ctl = build_coordinator(
+        coord, ctl = self.build(
             PRIME + FILLERS + [xfer], strategy=strategy
         )
         applied = []
@@ -240,118 +272,14 @@ class TestInProcessRaces:
         assert coord.list_values() == cells
 
 
-class TestProcessClusterRaces:
-    """The same handoff window over real OS processes: the cluster's
-    mover ships bin state through the mp-queue migration protocol
-    (query room → export → import) while requests park on the parent's
-    router exactly as in-process."""
+class TestInProcessRaces(_Races):
+    """The races over in-process workers."""
 
-    def _build(self, all_requests, *, strategy, indices_per_gap=1):
-        from repro.serve import ProcessCluster
 
-        cluster = ProcessCluster.for_workload(
-            fresh(all_requests),
-            shards=SHARDS,
-            backend="native",
-            table_size=TABLE_SIZE,
-            n_cells=N_CELLS,
-            key_space=KEY_SPACE,
-            bins=BINS,
-            rebalance=True,
-            migration=strategy,
-        )
-        cluster.rebalancer.threshold = 1e9  # no organic plans
-        ctl = MigrationController(
-            cluster.router.partition,
-            strategy=strategy,
-            indices_per_gap=indices_per_gap,
-        )
-        cluster.controller = ctl
-        cluster.router.controller = ctl
-        return cluster, ctl
+class TestProcessClusterRaces(_Races):
+    """The same races over real OS processes: the coordinator's mover
+    ships bin state through the mp-queue migration protocol (query room
+    → export → import) and commits as word-addition messages, while
+    requests park on the parent's router exactly as in-process."""
 
-    def test_xfer_parked_through_fluid_handoff_applies_once(self):
-        xfer = Request(rid=0, kind="xfer", key=0, key2=1, delta=3)
-        cluster, ctl = self._build(
-            PRIME + FILLERS + [xfer], strategy="fluid", indices_per_gap=1
-        )
-        applied = []
-        try:
-            r = cluster.execute(fresh(PRIME))
-            applied.extend(r.completed)
-            assert len(r.completed) == len(PRIME)
-
-            table = cluster.router.partition.domain("list")
-            ctl.admit([Migration("list", 0, 0, 1, 1.0)])
-
-            live = fresh([xfer])[0]
-            fillers = fresh(FILLERS)
-            r = cluster.execute([live] + fillers[:2])
-            applied.extend(r.completed)
-            assert r.parked == 1 and live in r.carried
-            assert ctl.pending == 1
-
-            gaps = 0
-            while ctl.pending:
-                r = cluster.execute([live, fillers[2 + gaps]])
-                applied.extend(r.completed)
-                assert live not in r.completed
-                gaps += 1
-                assert gaps < 8, "fluid drain failed to finish"
-            assert table.bin_owner_of(0) == 1
-
-            r = cluster.execute([live])
-            applied.extend(r.completed)
-            assert live in r.completed
-
-            rids = [req.rid for req in applied]
-            assert sorted(rids) == sorted(set(rids)), "a lane applied twice"
-            assert diff_stream_state(
-                cluster.coordinator, applied,
-                table_size=TABLE_SIZE, n_cells=N_CELLS, key_space=KEY_SPACE,
-            ) is None
-            values = cluster.coordinator.list_values()
-            assert values[0] == 7 and values[1] == 13
-        finally:
-            cluster.shutdown()
-
-    def test_claim_loser_replays_exactly_once_across_flip(self):
-        xfer_a = Request(rid=0, kind="xfer", key=0, key2=1, delta=3)
-        xfer_b = Request(rid=1, kind="xfer", key=1, key2=2, delta=5)
-        cluster, ctl = self._build(
-            PRIME + FILLERS + [xfer_a, xfer_b], strategy="all-at-once"
-        )
-        applied = []
-        try:
-            r = cluster.execute(fresh(PRIME))
-            applied.extend(r.completed)
-
-            live_a = fresh([xfer_a])[0]
-            live_b = fresh([xfer_b])[0]
-            r = cluster.execute([live_a, live_b])
-            applied.extend(r.completed)
-            assert r.completed == [live_a]
-            assert live_b in r.carried
-
-            table = cluster.router.partition.domain("list")
-            ctl.admit([Migration("list", 0, 0, 1, 1.0)])
-            r = cluster.execute([live_b] + fresh(FILLERS)[:1])
-            applied.extend(r.completed)
-            assert r.parked == 1 and live_b in r.carried
-            assert ctl.pending == 0
-            assert table.bin_owner_of(0) == 1
-
-            r = cluster.execute([live_b])
-            applied.extend(r.completed)
-            assert live_b in r.completed
-
-            rids = [req.rid for req in applied]
-            assert sorted(rids) == sorted(set(rids)), "a lane applied twice"
-            assert diff_stream_state(
-                cluster.coordinator, applied,
-                table_size=TABLE_SIZE, n_cells=N_CELLS, key_space=KEY_SPACE,
-            ) is None
-            values = cluster.coordinator.list_values()
-            assert values[0] == 7 and values[1] == 8 and values[2] == 15
-        finally:
-            cluster.shutdown()
+    processes = True
