@@ -48,7 +48,7 @@ class Backend:
     #: Registry name (the ``--backend`` CLI value).
     name: str = ""
     #: True when the backend charges a calibrated cycle model; cycle-only
-    #: features (tracing, deadline batching, cost-model overrides) are
+    #: features (tracing, a --deadline linger, cost-model overrides) are
     #: rejected on uncalibrated backends instead of silently measuring 0.
     calibrated: bool = False
 

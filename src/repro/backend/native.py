@@ -17,7 +17,7 @@ Same plans, same end states, real wall-clock speed.  Two pieces:
   :meth:`~repro.backend.Backend.run_fol` on :class:`NativeOps`.
 
 Uncalibrated: the counter is a null ledger pinned at zero, simulated-
-cycle features (tracing, deadline batching, cost-model overrides) are
+cycle features (tracing, a --deadline linger, cost-model overrides) are
 rejected up front, and invariant auditing is unavailable (audit hooks
 live on the charged scatter path).
 """

@@ -70,12 +70,16 @@ def build_parser() -> argparse.ArgumentParser:
     stream = sub.add_parser("stream", help=_HELP["stream"])
     stream.add_argument("--requests", type=positive_int, default=5000,
                         help="number of requests in the workload")
-    stream.add_argument("--policy", choices=("fixed", "deadline", "adaptive"),
+    from ..runtime.batcher import BATCH_POLICIES
+
+    stream.add_argument("--policy", choices=BATCH_POLICIES,
                         default="adaptive", help="batch-sizing policy")
     stream.add_argument("--batch-size", type=positive_int, default=256,
-                        help="fixed/initial batch size (max size for deadline)")
-    stream.add_argument("--deadline", type=positive_float, default=2000.0,
-                        help="deadline policy: max head-of-line wait in cycles")
+                        help="fixed/initial batch size")
+    stream.add_argument("--deadline", type=positive_float, default=None,
+                        help="longest the oldest queued request waits for "
+                             "a fuller batch, in simulated cycles (default: "
+                             "until the batch fills; sim backend only)")
     stream.add_argument("--skew", type=skew, default=0.0,
                         help=f"Zipf key skew (0 = uniform, max {MAX_SKEW})")
     stream.add_argument("--kinds", default="hash",  # no-kind-lint
@@ -178,10 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "registry's stream mix; see `repro info`)")
     serve.add_argument("--mix", default=None, metavar="KIND=W,...",
                        help="weighted workload mix (overrides --kinds)")
-    serve.add_argument("--policy", choices=("fixed", "adaptive"),
-                       default="fixed",
-                       help="batch-sizing policy (wall-clock linger replaces "
-                            "the cycle-driven deadline policy)")
+    serve.add_argument("--policy", choices=BATCH_POLICIES,
+                       default="fixed", help="batch-sizing policy")
     serve.add_argument("--batch-size", type=positive_int, default=512,
                        help="fixed/initial micro-batch target")
     serve.add_argument("--linger-ms", type=nonneg_float, default=2.0,

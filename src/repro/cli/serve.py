@@ -4,29 +4,13 @@ from __future__ import annotations
 
 import sys
 
-from .validators import parse_kinds_or_mix
+from .validators import check_run_flags, parse_kinds_or_mix
 
 
 def run(args) -> int:
-    from ..errors import ReproError
     from ..serve import run_serve
 
-    if args.migration is not None and not args.rebalance:
-        raise ReproError(
-            "--migration paces live bin handoff and needs --rebalance"
-        )
-    if args.rebalance_objective is not None and not args.rebalance:
-        raise ReproError(
-            "--rebalance-objective steers migration planning and needs "
-            "--rebalance"
-        )
-    if args.tenants is None:
-        if args.slo is not None:
-            raise ReproError("--slo assigns per-tenant budgets and needs "
-                             "--tenants")
-        if args.qos:
-            raise ReproError("--qos admits per tenant class and needs "
-                             "--tenants")
+    check_run_flags(args)
     tenants = None
     if args.tenants is not None:
         from ..runtime import apply_slos, parse_slo, parse_tenants

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from .validators import parse_kinds_or_mix
+from .validators import check_run_flags, parse_kinds_or_mix
 
 
 def run(args) -> int:
+    import math
     import time
 
     import numpy as np
@@ -42,22 +43,7 @@ def run(args) -> int:
             raise ReproError(
                 "--bins sizes the routing-bin level and needs --shards > 1"
             )
-    if args.migration is not None and not args.rebalance:
-        raise ReproError(
-            "--migration paces live bin handoff and needs --rebalance"
-        )
-    if args.rebalance_objective is not None and not args.rebalance:
-        raise ReproError(
-            "--rebalance-objective steers migration planning and needs "
-            "--rebalance"
-        )
-    if args.tenants is None:
-        if args.slo is not None:
-            raise ReproError("--slo assigns per-tenant budgets and needs "
-                             "--tenants")
-        if args.qos:
-            raise ReproError("--qos admits per tenant class and needs "
-                             "--tenants")
+    check_run_flags(args)
     tenants = None
     if args.tenants is not None:
         tenants = parse_tenants(args.tenants)
@@ -76,11 +62,10 @@ def run(args) -> int:
                 "--trace records the simulated instruction mix, which the "
                 f"{backend.name!r} backend does not charge; use --backend sim"
             )
-        if args.policy == "deadline":
+        if args.deadline is not None:
             raise ReproError(
-                "the deadline batch policy is driven by simulated cycles, "
-                f"which the {backend.name!r} backend does not charge; use "
-                "--backend sim or --policy fixed/adaptive"
+                "--deadline lingers in simulated cycles, which the "
+                f"{backend.name!r} backend does not charge; use --backend sim"
             )
 
     kinds, weights = parse_kinds_or_mix(args)
@@ -107,15 +92,9 @@ def run(args) -> int:
                 rng, args.requests, mean_gap=args.mean_gap, **common
             )
 
-    if args.policy == "fixed":
-        batcher = make_batcher("fixed", batch_size=args.batch_size)
-    elif args.policy == "deadline":
-        batcher = make_batcher(
-            "deadline", deadline=args.deadline, max_size=args.batch_size
-        )
-    else:
-        batcher = make_batcher("adaptive", initial=args.batch_size)
-
+    size = "batch_size" if args.policy == "fixed" else "initial"
+    batcher = make_batcher(args.policy, **{size: args.batch_size})
+    linger = math.inf if args.deadline is None else args.deadline
     policy = QoSPolicy(tenants, burst=args.qos_burst) if args.qos else None
     queue = BoundedQueue(
         args.queue_capacity, admission=args.admission, qos=policy
@@ -137,12 +116,15 @@ def run(args) -> int:
             migration=migration,
             rebalance_objective=objective,
         )
-        service = StreamService(coordinator, batcher=batcher, queue=queue)
+        service = StreamService(
+            coordinator, batcher=batcher, queue=queue, linger=linger
+        )
     else:
         service = StreamService.for_workload(
             requests,
             batcher=batcher,
             queue=queue,
+            linger=linger,
             table_size=args.table_size,
             carryover=not args.no_carryover,
             trace=args.trace,
@@ -163,13 +145,10 @@ def run(args) -> int:
         metrics = service.run(requests)
     except KeyboardInterrupt:
         # Partial summary instead of a traceback: the metrics object
-        # already holds every batch that finished before the interrupt.
+        # already holds every batch that finished before the interrupt,
+        # and the run copied the admission ledger on its way out.
         interrupted = True
         metrics = service.metrics
-        metrics.rejected = queue.stats.rejected
-        metrics.blocked_offers = queue.stats.blocked_offers
-        metrics.blocked_requests = queue.stats.blocked_requests
-        metrics.queue_max_depth = queue.stats.max_depth
     wall = time.perf_counter() - t0
     if tenants is not None:
         # FIFO baseline runs still report weights/SLOs so the tenant

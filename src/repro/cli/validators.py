@@ -57,6 +57,29 @@ def skew(text: str) -> float:
     return value
 
 
+def check_run_flags(args) -> None:
+    """Refuse ``stream``/``serve`` flag combinations that would
+    otherwise be silently ignored (:class:`ReproError`, exit 2)."""
+    from ..errors import ReproError
+
+    if args.migration is not None and not args.rebalance:
+        raise ReproError(
+            "--migration paces live bin handoff and needs --rebalance"
+        )
+    if args.rebalance_objective is not None and not args.rebalance:
+        raise ReproError(
+            "--rebalance-objective steers migration planning and needs "
+            "--rebalance"
+        )
+    if args.tenants is None:
+        if args.slo is not None:
+            raise ReproError("--slo assigns per-tenant budgets and needs "
+                             "--tenants")
+        if args.qos:
+            raise ReproError("--qos admits per tenant class and needs "
+                             "--tenants")
+
+
 def parse_mix(text: str):
     """Parse ``--mix kind=weight,...`` into (kinds, weights).  Unknown
     kinds and malformed entries raise :class:`ReproError` (exit 2)."""

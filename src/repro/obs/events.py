@@ -10,8 +10,9 @@ arrival-to-completion latency is split into:
   the queue accepted the request);
 * ``queue``   — admission to first batch launch, *minus* any overlap
   with deliberate batch-formation waits;
-* ``batch``   — the part of the pre-launch wait the batching policy
-  chose (linger / adaptive fill / deadline margin);
+* ``batch``   — the part of the pre-launch wait the loop's release
+  rule chose (waiting for a fuller batch, up to its linger or an SLO
+  deadline);
 * ``execute`` — shard-local pipeline time of every batch the request
   rode (the batch is the unit of time: all riders share its phases);
 * ``commit``  — the cross-shard claim/commit exchange phases of those
@@ -71,8 +72,8 @@ class TraceRecorder:
 
     Emission sites: :class:`~repro.runtime.queue.BoundedQueue` calls
     :meth:`request_offered` (as the queue's ``observer``); the stream
-    service / serve frontend call :meth:`linger_wait` when the batching
-    policy delays a launch and :meth:`record_batch` after each executed
+    service / serve frontend call :meth:`linger_wait` when the release
+    rule delays a launch and :meth:`record_batch` after each executed
     batch; the :class:`~repro.shard.migration.MigrationController`
     calls :meth:`migration_step` when bin handoffs flip.  Worker-side
     execute timings ride the serving layer's existing mp reply queue
@@ -113,7 +114,7 @@ class TraceRecorder:
         )
 
     def linger_wait(self, start: float, end: float) -> None:
-        """The batching policy chose to wait ``[start, end)`` for a
+        """The release rule chose to wait ``[start, end)`` for a
         fuller batch; queued lanes' overlap with these intervals is the
         ``batch`` stage."""
         if end <= start:

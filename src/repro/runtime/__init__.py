@@ -8,7 +8,10 @@ each batch runs through FOL against shared hash/tree/list state
 (:mod:`~repro.runtime.executor`), and — instead of retrying filtered
 lanes in-batch — overwritten lanes recirculate into the next batch
 (:mod:`~repro.runtime.carryover`).  Every batch is metered
-(:mod:`~repro.runtime.metrics`) in simulated cycles.
+(:mod:`~repro.runtime.metrics`) in simulated cycles.  The loop itself
+(release rule, batch formation, retirement) is
+:class:`~repro.runtime.loop.BatchLoop`, shared with the wall-clock
+serving front-end.
 
 Quickstart
 ----------
@@ -26,12 +29,12 @@ from .batcher import (
     BATCH_POLICIES,
     AdaptiveBatcher,
     BatchPolicy,
-    DeadlineBatcher,
     FixedBatcher,
     make_batcher,
 )
 from .carryover import CarryoverBuffer
 from .executor import BatchResult, StreamExecutor
+from .loop import BatchLoop
 from .metrics import BatchRecord, StreamMetrics
 from .qos import (
     QoSPolicy,
@@ -78,7 +81,6 @@ __all__ = [
     "BATCH_POLICIES",
     "BatchPolicy",
     "FixedBatcher",
-    "DeadlineBatcher",
     "AdaptiveBatcher",
     "make_batcher",
     # carryover
@@ -88,6 +90,8 @@ __all__ = [
     # executor
     "BatchResult",
     "StreamExecutor",
+    # loop
+    "BatchLoop",
     # metrics
     "BatchRecord",
     "StreamMetrics",

@@ -1,18 +1,16 @@
 """Batch-sizing policies for the streaming micro-batch loop.
 
-The service asks its policy two questions each iteration: *how many
-lanes should the next micro-batch carry* (:meth:`BatchPolicy.target_size`)
-and *is it worth waiting for more arrivals before flushing*
-(:meth:`BatchPolicy.wake_time`).  After every executed batch the policy
-gets the batch's observed statistics back through
-:meth:`BatchPolicy.observe`.
+The loop (:class:`~repro.runtime.loop.BatchLoop`) asks its policy one
+question each iteration: *how many lanes should the next micro-batch
+carry* (:meth:`BatchPolicy.target_size`).  When to launch a batch that
+is not yet full is the loop's own release rule, bounded by its
+``linger`` (``--deadline`` cycles on ``repro stream``, ``--linger-ms``
+on ``repro serve``).  After every executed batch the policy gets the
+batch's observed statistics back through :meth:`BatchPolicy.observe`.
 
-Three policies:
+Two policies:
 
-* :class:`FixedBatcher` — flush whenever ``batch_size`` lanes are ready.
-* :class:`DeadlineBatcher` — flush at ``max_size`` lanes *or* when the
-  oldest queued request has waited ``deadline`` cycles, whichever first
-  (the latency-bounding policy).
+* :class:`FixedBatcher` — a constant target of ``batch_size`` lanes.
 * :class:`AdaptiveBatcher` — grows/shrinks the target from the observed
   pointer multiplicity M of recent batches.  FOL's round count equals M
   (Theorem 5), and every round pays the fixed vector start-up for its
@@ -28,7 +26,7 @@ from typing import Optional
 from ..errors import ReproError
 
 #: Policy names accepted by :func:`make_batcher` and the CLI.
-BATCH_POLICIES = ("fixed", "deadline", "adaptive")
+BATCH_POLICIES = ("fixed", "adaptive")
 
 
 class BatchPolicy:
@@ -36,43 +34,9 @@ class BatchPolicy:
 
     name = "base"
 
-    #: Head-room subtracted from SLO deadlines in the deadline-aware
-    #: release clip: a batch is released ``slo_margin`` clock units
-    #: before the earliest queued deadline so its execution has a
-    #: chance to finish inside the budget.
-    slo_margin: float = 0.0
-
     def target_size(self) -> int:
         """Desired lane count for the next micro-batch."""
         raise NotImplementedError
-
-    def wake_time(
-        self,
-        now: float,
-        oldest_enqueued: Optional[float],
-        next_arrival: float,
-        earliest_deadline: Optional[float] = None,
-    ) -> float:
-        """When the service should re-examine the queue if it decides to
-        wait for more arrivals.  Returning a time <= ``now`` means
-        "don't wait, flush what is ready".  ``earliest_deadline`` is the
-        soonest absolute SLO deadline among queued requests (QoS runs
-        only); every policy clips its wait so a batch fires early rather
-        than letting an SLO class's head-of-line request blow its
-        budget while the policy holds out for a fuller batch."""
-        return self._clip_to_deadline(next_arrival, now, earliest_deadline)
-
-    def _clip_to_deadline(
-        self, wake: float, now: float, earliest_deadline: Optional[float]
-    ) -> float:
-        """Deadline-aware release: never sleep past the point where the
-        most urgent queued request must launch to meet its SLO."""
-        if earliest_deadline is None:
-            return wake
-        release = earliest_deadline - self.slo_margin
-        if release <= now:
-            return now  # already at/past the release point: flush
-        return min(wake, release)
 
     def observe(
         self,
@@ -88,7 +52,7 @@ class BatchPolicy:
 
 
 class FixedBatcher(BatchPolicy):
-    """Constant target size; waits for a full batch while arrivals last."""
+    """Constant target size."""
 
     name = "fixed"
 
@@ -99,40 +63,6 @@ class FixedBatcher(BatchPolicy):
 
     def target_size(self) -> int:
         return self.batch_size
-
-
-class DeadlineBatcher(BatchPolicy):
-    """Flush at ``max_size`` lanes or after ``deadline`` cycles of
-    head-of-line waiting, whichever comes first."""
-
-    name = "deadline"
-
-    def __init__(self, deadline: float = 2000.0, max_size: int = 512) -> None:
-        if deadline < 0:
-            raise ReproError(f"deadline must be non-negative, got {deadline}")
-        if max_size <= 0:
-            raise ReproError(f"max size must be positive, got {max_size}")
-        self.deadline = deadline
-        self.max_size = max_size
-
-    def target_size(self) -> int:
-        return self.max_size
-
-    def wake_time(
-        self,
-        now: float,
-        oldest_enqueued: Optional[float],
-        next_arrival: float,
-        earliest_deadline: Optional[float] = None,
-    ) -> float:
-        if oldest_enqueued is None:
-            return self._clip_to_deadline(next_arrival, now, earliest_deadline)
-        flush_at = oldest_enqueued + self.deadline
-        if flush_at <= now:
-            return now  # deadline already blown: flush immediately
-        return self._clip_to_deadline(
-            min(next_arrival, flush_at), now, earliest_deadline
-        )
 
 
 class AdaptiveBatcher(BatchPolicy):
@@ -148,12 +78,6 @@ class AdaptiveBatcher(BatchPolicy):
     start-up amortisation; under carryover this drives the size toward
     ``max_size``, which is optimal because recirculation makes the
     per-batch round cost flat).
-
-    Under a QoS run the adaptive policy additionally honours the
-    deadline-aware release hook inherited from :class:`BatchPolicy`:
-    waiting for a fuller batch is clipped at the earliest queued SLO
-    deadline (minus :attr:`~BatchPolicy.slo_margin`), so M-EMA sizing
-    never holds an urgent SLO class hostage to start-up amortisation.
     """
 
     name = "adaptive"
@@ -236,8 +160,6 @@ def make_batcher(policy: str, **kwargs) -> BatchPolicy:
     """Construct a policy by name (the CLI/bench entry point)."""
     if policy == "fixed":
         return FixedBatcher(**kwargs)
-    if policy == "deadline":
-        return DeadlineBatcher(**kwargs)
     if policy == "adaptive":
         return AdaptiveBatcher(**kwargs)
     raise ReproError(

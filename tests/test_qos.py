@@ -6,7 +6,7 @@ Covers the ISSUE 9 tentpole end to end:
   :class:`~repro.errors.ReproError` (the CLI's exit-2 path);
 * :class:`~repro.runtime.qos.QoSPolicy` depth caps and weighted-fair
   dequeue on :class:`~repro.runtime.queue.BoundedQueue`;
-* deadline-aware batch release through ``BatchPolicy.wake_time``;
+* deadline-aware batch release through ``BatchLoop.release_at``;
 * per-tenant conservation: ``admitted + rejected + blocked ==
   offered`` for every tenant under randomised offer/take interleaving;
 * the correctness anchor — a QoS-enabled run's merged end state is
@@ -236,22 +236,6 @@ class TestQoSQueue:
 # deadline-aware release
 # ----------------------------------------------------------------------
 class TestDeadlineRelease:
-    def test_wake_clipped_to_earliest_deadline(self):
-        b = FixedBatcher(batch_size=64)
-        # no deadline: wait for the next arrival as before
-        assert b.wake_time(0.0, 0.0, 100.0) == 100.0
-        # a deadline before the arrival releases the batch early
-        assert b.wake_time(0.0, 0.0, 100.0, earliest_deadline=40.0) == 40.0
-        # a deadline already blown releases immediately
-        assert b.wake_time(10.0, 0.0, 100.0, earliest_deadline=5.0) == 10.0
-        # a later deadline changes nothing
-        assert b.wake_time(0.0, 0.0, 100.0, earliest_deadline=500.0) == 100.0
-
-    def test_slo_margin_releases_earlier(self):
-        b = FixedBatcher(batch_size=64)
-        b.slo_margin = 15.0
-        assert b.wake_time(0.0, 0.0, 100.0, earliest_deadline=40.0) == 25.0
-
     def test_stream_release_cuts_head_of_line_wait(self):
         """Open loop with a gap close to the SLO: without deadline
         release the fixed batcher sits on the head request until 32

@@ -19,6 +19,8 @@ lane to the next micro-batch instead of retrying in-batch (§3.2) must
 never change what the structure ends up containing.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,6 @@ from repro.mem.arena import BumpAllocator
 from repro.runtime import (
     AdaptiveBatcher,
     BoundedQueue,
-    DeadlineBatcher,
     FixedBatcher,
     StreamService,
     requests_from_keys,
@@ -43,11 +44,10 @@ N_CELLS = 8
 
 
 def make_policy(name):
-    """Small policies so even short streams split into several batches."""
-    if name == "fixed":
+    """Small policies so even short streams split into several batches;
+    ``deadline`` is the fixed policy under a 50-cycle linger."""
+    if name in ("fixed", "deadline"):
         return FixedBatcher(batch_size=7)
-    if name == "deadline":
-        return DeadlineBatcher(deadline=50.0, max_size=7)
     return AdaptiveBatcher(
         initial=8, min_size=2, max_size=16, m_low=2.0, m_high=4.0, smoothing=1.0
     )
@@ -59,6 +59,7 @@ def run_stream(keys, kind, policy, carryover, deltas=None, queue=None):
         reqs,
         batcher=make_policy(policy),
         queue=queue,
+        linger=50.0 if policy == "deadline" else math.inf,
         table_size=TABLE_SIZE,
         n_cells=N_CELLS,
         carryover=carryover,
