@@ -14,10 +14,12 @@ under test:
    never buys a different answer).
 
 Dual interface: a plain script (CI smoke job) and a pytest-benchmark
-wrapper.  Both write machine-readable results to ``BENCH_native.json``
-at the repo root::
+wrapper.  Full runs of both write machine-readable results to
+``BENCH_native.json`` at the repo root; a smoke run needs an explicit
+``--json`` path::
 
-    python benchmarks/bench_native_backend.py [--smoke] [--json PATH]
+    python benchmarks/bench_native_backend.py [--json PATH]
+    python benchmarks/bench_native_backend.py --smoke --json PATH
     pytest benchmarks/bench_native_backend.py --benchmark-only -s
 """
 
@@ -150,18 +152,22 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="small sizes for the CI smoke job")
-    parser.add_argument("--json", type=Path, default=DEFAULT_JSON,
-                        help=f"result path (default {DEFAULT_JSON})")
+    parser.add_argument("--json", type=Path, default=None,
+                        help=f"result path (default {DEFAULT_JSON.name}; "
+                             "required with --smoke)")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--requests", type=int, default=None,
                         help="override workload size")
     args = parser.parse_args(argv)
+    if args.smoke and args.json is None:
+        parser.error(f"--smoke needs --json PATH: smoke results never "
+                     f"overwrite the committed {DEFAULT_JSON.name}")
 
     n_requests = args.requests or (300 if args.smoke else 3000)
     repeats = 2 if args.smoke else 3
     payload = build_payload(n_requests, args.seed, repeats)
     print_report(payload)
-    path = write_json(args.json, payload)
+    path = write_json(args.json or DEFAULT_JSON, payload)
     print(f"\nwrote {path}")
 
     failures = check(payload)

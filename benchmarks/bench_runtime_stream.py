@@ -34,7 +34,7 @@ from repro.runtime import (
 
 N_REQUESTS = 4000
 SKEWS = (0.0, 0.8, 1.1, 1.4)
-POLICIES = ("fixed", "deadline", "adaptive")
+POLICIES = ("fixed", "adaptive")
 
 STREAM_JSON = Path(__file__).resolve().parent.parent / "BENCH_stream.json"
 
@@ -53,8 +53,6 @@ def _flush_stream_json():
 def _batcher(policy):
     if policy == "fixed":
         return make_batcher("fixed", batch_size=512)
-    if policy == "deadline":
-        return make_batcher("deadline", deadline=2000.0, max_size=512)
     return make_batcher("adaptive", initial=256)
 
 

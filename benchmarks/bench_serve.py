@@ -27,9 +27,11 @@ Every run's merged worker end state is checked against the one-shot
 scalar oracle; a divergence fails the bench.
 
 Results go to ``BENCH_serve.json`` (schema checked by
-``tools/check_bench_schema.py``)::
+``tools/check_bench_schema.py``), which only full runs write; a smoke
+run needs an explicit ``--json`` path::
 
-    python benchmarks/bench_serve.py [--smoke] [--json PATH]
+    python benchmarks/bench_serve.py [--json PATH]
+    python benchmarks/bench_serve.py --smoke --json PATH
 """
 
 import argparse
@@ -184,8 +186,14 @@ def main(argv=None):
         action="store_true",
         help="~5 s 2-worker sanity run for CI (skips the K sweep)",
     )
-    parser.add_argument("--json", type=Path, default=DEFAULT_JSON)
+    parser.add_argument("--json", type=Path, default=None,
+                        help=f"result path (default {DEFAULT_JSON.name}; "
+                             "required with --smoke)")
     args = parser.parse_args(argv)
+    if args.smoke and args.json is None:
+        parser.error(f"--smoke needs --json PATH: smoke results never "
+                     f"overwrite the committed {DEFAULT_JSON.name}")
+    out = args.json or DEFAULT_JSON
 
     config = {
         "kinds": list(KINDS),
@@ -210,7 +218,7 @@ def main(argv=None):
         _series_table("serve smoke (K=2, closed loop)", [row])
         overhead = _trace_overhead(workers=2, requests=800, batch_size=256)
         write_json(
-            args.json,
+            out,
             {
                 "bench": "serve",
                 "config": config,
@@ -218,7 +226,7 @@ def main(argv=None):
                 "trace_overhead": overhead,
             },
         )
-        print(f"\nwrote {args.json}")
+        print(f"\nwrote {out}")
         print("smoke OK: completed > 0, merged state matches the oracle")
         return 0
 
@@ -258,12 +266,12 @@ def main(argv=None):
     )
 
     write_json(
-        args.json,
+        out,
         {"bench": "serve", "config": config,
          "saturation": saturation, "latency": latency,
          "trace_overhead": overhead},
     )
-    print(f"\nwrote {args.json}")
+    print(f"\nwrote {out}")
 
     k1 = saturation["K=1"]["throughput_rps"]
     k4 = saturation["K=4"]["throughput_rps"]
