@@ -194,14 +194,28 @@ def vector_bst_insert(
     """Insert all ``keys`` by vector operations; returns the number of
     descend-and-claim steps executed."""
     keys = np.asarray(keys, dtype=np.int64)
-    n = keys.size
-    if n == 0:
+    if keys.size == 0:
         return 0
+    new_nodes = build_nodes(vm, tree.nodes, keys, policy)
+    return descend_and_claim(vm, tree, keys, new_nodes, policy, max_steps)
+
+
+def descend_and_claim(
+    vm: VectorMachine,
+    tree: BinarySearchTree,
+    keys: np.ndarray,
+    new_nodes: np.ndarray,
+    policy: str = "arbitrary",
+    max_steps: Optional[int] = None,
+) -> int:
+    """Descend every key from the root slot and link its pre-built node
+    at the NIL slot it reaches, claim losers descending on in the same
+    loop.  Returns the number of descend-and-claim steps executed."""
+    n = keys.size
     nodes = tree.nodes
     off_left = nodes.offset("left")
     off_right = nodes.offset("right")
     off_key = nodes.offset("key")
-    new_nodes = build_nodes(vm, nodes, keys, policy)
 
     # Every key starts at the root *slot* (the word holding the root
     # pointer), so inserting into an empty tree needs no special case.
