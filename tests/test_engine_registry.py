@@ -114,11 +114,13 @@ class TestRegistry:
 
     def test_machine_words_matches_legacy_layout(self):
         # Pre-registry sizing was 2T + 2H + (1 + 3B) + 6C + 4096 + 1;
-        # the registry must reproduce it (plus sort's trailing words).
+        # the registry must reproduce it, plus sort's trailing words and
+        # the count array and work area (2 * key space) of bst and sort.
         ctx = EngineContext(table_size=101, n_cells=8, key_space=256)
         caps = {"hash": 10, "bst": 20, "list": 1, "xfer": 1, "sort": 5}
         legacy = 1 + (2 * 101 + 2 * 10) + (1 + 3 * 20) + 6 * 8 + 4096
-        assert machine_words(caps, ctx) == legacy + (3 * 5 + 1)
+        counts = 2 * (2 * 256)
+        assert machine_words(caps, ctx) == legacy + (3 * 5 + 1) + counts
 
 
 # ----------------------------------------------------------------------
@@ -138,9 +140,9 @@ class TestGoldenParity:
         metrics = svc.run(reqs)
         ex = svc.executor
         chains = {s: ks for s, ks in enumerate(ex.table.all_chains()) if ks}
-        assert round(svc.now, 6) == 255847.5
-        assert len(metrics.batches) == 40
-        assert metrics.total_rounds == 152
+        assert round(svc.now, 6) == 193394.1
+        assert len(metrics.batches) == 46
+        assert metrics.total_rounds == 116
         assert state_hash(chains, ex.tree.inorder(), ex.list_values()) == (
             "9e2135db213ea54c5aed42bed1d7403bc8ef5696a8c4b4bcc7ccf864d2f0e660"
         )
@@ -158,9 +160,9 @@ class TestGoldenParity:
         metrics = svc.run(reqs)
         ex = svc.executor
         chains = {s: ks for s, ks in enumerate(ex.table.all_chains()) if ks}
-        assert round(svc.now, 6) == 175254.238609
-        assert len(metrics.batches) == 18
-        assert metrics.total_rounds == 104
+        assert round(svc.now, 6) == 157296.338609
+        assert len(metrics.batches) == 20
+        assert metrics.total_rounds == 58
         assert state_hash(chains, ex.tree.inorder(), ex.list_values()) == (
             "04a55941d7f9687f0f1e697f37ae282f006ed4205f94faf9d5f1ab6155b51c19"
         )
@@ -177,9 +179,9 @@ class TestGoldenParity:
         )
         svc = StreamService(coord, batcher=FixedBatcher(batch_size=64))
         metrics = svc.run(reqs)
-        assert round(svc.now, 6) == 150108.3
+        assert round(svc.now, 6) == 116220.0
         assert len(metrics.batches) == 34
-        assert coord.total_cross == 204
+        assert coord.total_cross == 207
         # The sharded end state merges to the same state as K=1 (same
         # workload, same hash as test_stream_closed_loop).
         assert state_hash(
@@ -202,9 +204,9 @@ class TestGoldenParity:
         )
         svc = StreamService(coord, batcher=FixedBatcher(batch_size=64))
         metrics = svc.run(reqs)
-        assert round(svc.now, 6) == 150108.3
+        assert round(svc.now, 6) == 116220.0
         assert len(metrics.batches) == 34
-        assert coord.total_cross == 204
+        assert coord.total_cross == 207
         assert state_hash(
             coord.chain_multisets(), coord.bst_inorder(), coord.list_values()
         ) == "9e2135db213ea54c5aed42bed1d7403bc8ef5696a8c4b4bcc7ccf864d2f0e660"
@@ -213,8 +215,8 @@ class TestGoldenParity:
         "suite,cases,lanes,expected",
         [
             ("core", 8, 48, [264, 2002, 134, 0, 26, 4, 0]),
-            ("stream", 8, 40, [419, 630, 34, 59, 37, 11, 5]),
-            ("shard", 6, 32, [353, 394, 21, 67, 32, 0, 0]),
+            ("stream", 8, 40, [434, 651, 29, 57, 26, 33, 5]),
+            ("shard", 6, 32, [386, 407, 18, 67, 22, 26, 0]),
         ],
     )
     def test_fuzz_suites(self, suite, cases, lanes, expected):

@@ -321,33 +321,33 @@ CORE_PINS = {
 
 STREAM_PINS = {
     "retry": {
-        "events": 6594,
+        "events": 2761,
         "trace": (
-            "a15c4ca62662f998f12b1f6f4d2205fb3f07f9fe75a6cf375cda648c5e633b61"
+            "e32c72a2189e387b4692390b033b4968c2fe544fc5f532d370fc8a99236622d6"
         ),
-        "total": 377719.79999999766,
+        "total": 163449.89999999967,
         "words": (
-            "801923c2952e8789de4eab58bef7973169e9073050ee442bf810b0c76bc37a05"
+            "db3c17488628ff67258b0792f240d874af866a93a820c519d31d2c472a6074f9"
         ),
-        "now": 377481.8,
-        "rounds": 106,
+        "now": 163211.9,
+        "rounds": 83,
         "fingerprint": (
-            "801923c2952e8789de4eab58bef7973169e9073050ee442bf810b0c76bc37a05"
+            "db3c17488628ff67258b0792f240d874af866a93a820c519d31d2c472a6074f9"
         ),
     },
     "carryover": {
-        "events": 6672,
+        "events": 2827,
         "trace": (
-            "96500719e014d289fd53edff4b830a44d47b192df72987c6085e3a316791cd61"
+            "a37ba327366dfdef52a9b2f1d0841fe4aacf9d7e7bd8687037ab5bc45d12f3ad"
         ),
-        "total": 386535.1999999977,
+        "total": 170734.2999999981,
         "words": (
-            "40bdff6d5c10ff530ac0714d721f521ef0a0556c898d819c38f91471ab450f1c"
+            "21387fcae88d15dd2a25d08f7fe5d395316079e2f66b1370d32ff98b58aae450"
         ),
-        "now": 386297.2,
-        "rounds": 107,
+        "now": 170496.3,
+        "rounds": 83,
         "fingerprint": (
-            "40bdff6d5c10ff530ac0714d721f521ef0a0556c898d819c38f91471ab450f1c"
+            "21387fcae88d15dd2a25d08f7fe5d395316079e2f66b1370d32ff98b58aae450"
         ),
     },
 }
