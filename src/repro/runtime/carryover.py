@@ -36,9 +36,8 @@ class CarryoverBuffer:
     """Filtered requests waiting for the next micro-batch.
 
     Carried lanes are *in flight*, not re-offered to the admission
-    queue: they already passed admission and occupy executor state (BST
-    lanes hold a pre-built node and a descent position), so they bypass
-    backpressure and are always drained first when the next batch forms.
+    queue: they already passed admission, so they bypass backpressure
+    and are always drained first when the next batch forms.
 
     Releases are **deduplicated by conflict group** (the target address
     the lane was filtered at, recorded in :attr:`Request.group`): of k

@@ -13,7 +13,7 @@ Two channels connect the front-end to each worker process:
   migration handoff, "stop" — mirroring the claim/commit RTTs the
   simulated coordinator charges explicitly (see docs/sharding.md §3).
 
-The request row codec is the wire format: one request is the ten int64
+The request row codec is the wire format: one request is the seven int64
 columns below.  ``kind`` travels as its index into
 :func:`~repro.engine.spec.registered_kinds` — both sides import the
 same registry, so the mapping is identical in every process and no
@@ -41,11 +41,8 @@ COL_KEY = 2
 COL_KEY2 = 3
 COL_DELTA = 4
 COL_ATTEMPTS = 5
-COL_SLOT = 6
-COL_NODE = 7
-COL_GROUP = 8
-COL_HOME = 9
-ROW_COLS = 10
+COL_GROUP = 6
+ROW_COLS = 7
 
 #: Control-plane message tags (front-end -> worker).
 MSG_BATCH = "batch"
@@ -110,10 +107,7 @@ def encode_requests(reqs: Sequence[Request], rows: np.ndarray) -> int:
         row[COL_KEY2] = r.key2
         row[COL_DELTA] = r.delta
         row[COL_ATTEMPTS] = r.attempts
-        row[COL_SLOT] = r.slot
-        row[COL_NODE] = r.node
         row[COL_GROUP] = r.group
-        row[COL_HOME] = r.home
     return len(reqs)
 
 
@@ -133,10 +127,7 @@ def decode_requests(rows: np.ndarray, n: int) -> List[Request]:
                 key2=int(row[COL_KEY2]),
                 delta=int(row[COL_DELTA]),
                 attempts=int(row[COL_ATTEMPTS]),
-                slot=int(row[COL_SLOT]),
-                node=int(row[COL_NODE]),
                 group=int(row[COL_GROUP]),
-                home=int(row[COL_HOME]),
             )
         )
     return out
@@ -146,10 +137,7 @@ def apply_row(req: Request, row: np.ndarray) -> None:
     """Fold one outbox row's mutable execution state back onto the
     front-end's request object (matched by rid upstream)."""
     req.attempts = int(row[COL_ATTEMPTS])
-    req.slot = int(row[COL_SLOT])
-    req.node = int(row[COL_NODE])
     req.group = int(row[COL_GROUP])
-    req.home = int(row[COL_HOME])
 
 
 # ----------------------------------------------------------------------

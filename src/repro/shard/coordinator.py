@@ -265,8 +265,7 @@ class ShardCoordinator:
 
     def _audit_routing(self, per_shard: List[List[Request]]) -> None:
         """Owner-computes invariant: every lane landed on the shard that
-        owns its conflict indices (a spec may instead pin a lane to the
-        shard holding its resumable state — see WorkloadSpec.pin_shard)."""
+        owns its conflict indices."""
         part = self.router.partition
         for s, sub in enumerate(per_shard):
             for req in sub:

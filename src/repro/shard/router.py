@@ -17,13 +17,9 @@ two indices have different owners becomes a :class:`CrossUnit`,
 resolved by the coordinator's two-phase claim/commit (see
 :meth:`Router.resolve_claims` and ``docs/sharding.md`` §3).
 
-A spec may also *pin* a lane (:meth:`~repro.engine.spec.WorkloadSpec.
-pin_shard`): a carried BST lane owns a pre-built node and a descent
-slot in one shard's memory (``Request.home``), so it stays there even
-if a migration has since re-routed its key residue.  Hash and list
-carryovers hold no shard-resident state (their ``group`` is a layout
-address, identical across the uniformly-built workers) and re-route
-freely.
+Carried lanes hold no shard-resident state (their ``group`` is a
+layout address, identical across the uniformly-built workers), so they
+re-route freely by ownership.
 
 When a :class:`~repro.shard.migration.MigrationController` is attached
 (:attr:`Router.controller`), a request routed to a bin that is
@@ -32,8 +28,7 @@ of any shard's sub-batch.  Parked lanes ride the carryover path and
 re-enter the next micro-batch, replaying on the new owner once the bin
 flips.  Parking happens *before* the claim phase ever sees the
 request, so an in-flight bin can never acquire — or lose — a
-cross-shard claim mid-transfer.  Pinned lanes bypass parking: their
-state lives on the pinned shard regardless of the routing map.
+cross-shard claim mid-transfer.
 
 The claim phase is first-come over this batch's cross-unit cell set:
 of the cross units competing for a cell, the earliest in batch order
@@ -96,10 +91,6 @@ class Router:
             indices = spec.route_indices(req, table.fold)
             for idx in indices:  # traffic counts feed the rebalancer
                 table.record(idx, tenant=req.tenant or None)
-            pinned = spec.pin_shard(req)
-            if pinned >= 0:
-                per_shard[pinned].append(req)
-                continue
             if ctl is not None and ctl.pending and any(
                 ctl.in_flight(spec.domain, idx) for idx in indices
             ):

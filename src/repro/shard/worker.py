@@ -115,13 +115,8 @@ class ShardWorker:
     # execution
     # ------------------------------------------------------------------
     def execute(self, batch: Sequence[Request]) -> BatchResult:
-        """Run this shard's slice of the micro-batch.  Carried lanes are
-        stamped with this shard as their :attr:`Request.home` so the
-        router can pin the ones holding shard-resident state (BST
-        descents) back here next batch."""
+        """Run this shard's slice of the micro-batch."""
         result = self.executor.execute(batch)
-        for req in result.carried:
-            req.home = self.shard_id
         self.batches += 1
         self.lanes += len(batch)
         return result

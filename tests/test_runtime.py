@@ -252,25 +252,6 @@ class TestExecutor:
         assert result.rounds == 3  # M of the index vector
         assert result.multiplicity == 3
 
-    def test_bst_carryover_resumes_descent(self):
-        from repro.mem.arena import NIL
-
-        reqs = requests_from_keys([50, 50, 20, 80], kind="bst")
-        ex = StreamExecutor.for_workload(reqs, cost_model=FREE, carryover=True)
-        result = ex.execute(reqs)
-        # all four lanes race for the empty root; one wins, three defer
-        assert len(result.completed) == 1
-        assert len(result.carried) == 3
-        assert all(r.node != NIL for r in result.carried)  # keep built node
-        carried = result.carried
-        batches = 1
-        while carried:
-            carried = ex.execute(carried).carried
-            batches += 1
-        assert batches >= 3  # the two 50s can never claim the same round
-        assert ex.tree.inorder() == [20, 50, 50, 80]
-        ex.tree.check_bst_invariant()
-
     def test_list_bumps_apply_once_per_request(self):
         reqs = requests_from_keys([3, 3, 3], kind="list", deltas=[2, 5, 7])
         ex = StreamExecutor.for_workload(reqs, cost_model=FREE, n_cells=8,

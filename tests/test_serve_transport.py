@@ -28,9 +28,7 @@ class TestRowCodec:
         # dirty the mutable execution-state fields too
         for i, r in enumerate(reqs):
             r.attempts = i
-            r.slot = 5 + i
             r.group = 1000 + i
-            r.home = i % 3
         rows = np.zeros((len(reqs) + 2, ROW_COLS), dtype=np.int64)
         n = transport.encode_requests(reqs, rows)
         assert n == len(reqs)
@@ -39,9 +37,7 @@ class TestRowCodec:
             assert (a.rid, a.kind, a.key, a.key2, a.delta) == (
                 b.rid, b.kind, b.key, b.key2, b.delta
             )
-            assert (a.attempts, a.slot, a.node, a.group, a.home) == (
-                b.attempts, b.slot, b.node, b.group, b.home
-            )
+            assert (a.attempts, a.group) == (b.attempts, b.group)
 
     def test_kind_codes_follow_registry_order(self):
         assert transport.kind_codes() == registered_kinds()
@@ -51,12 +47,11 @@ class TestRowCodec:
         rows = np.zeros((len(reqs), ROW_COLS), dtype=np.int64)
         transport.encode_requests(reqs, rows)
         rows[0][transport.COL_ATTEMPTS] = 7
-        rows[0][transport.COL_SLOT] = 42
-        rows[0][transport.COL_HOME] = 2
+        rows[0][transport.COL_GROUP] = 42
         req = reqs[0]
         arrival = req.arrival
         transport.apply_row(req, rows[0])
-        assert (req.attempts, req.slot, req.home) == (7, 42, 2)
+        assert (req.attempts, req.group) == (7, 42)
         assert req.arrival == arrival  # timestamps never cross the wire
 
     def test_overflow_is_a_hard_error(self):
