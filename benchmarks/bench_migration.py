@@ -25,9 +25,11 @@ Three experiments, written to ``BENCH_migration.json``:
   ran or parked requests replayed) vs quiet batches, reported as the
   active-p99 / quiet-median ratio per strategy.
 
-Dual interface like the other benches::
+Dual interface like the other benches; a smoke run needs an explicit
+``--json`` path, so it never overwrites the committed file::
 
-    python benchmarks/bench_migration.py [--smoke] [--json PATH]
+    python benchmarks/bench_migration.py [--json PATH]
+    python benchmarks/bench_migration.py --smoke --json PATH
     pytest benchmarks/bench_migration.py --benchmark-only -s
 """
 
@@ -313,18 +315,22 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="small sizes for the CI smoke job")
-    parser.add_argument("--json", type=Path, default=DEFAULT_JSON,
-                        help=f"result path (default {DEFAULT_JSON})")
+    parser.add_argument("--json", type=Path, default=None,
+                        help=f"result path (default {DEFAULT_JSON.name}; "
+                             "required with --smoke)")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--requests", type=int, default=None,
                         help="override workload size")
     args = parser.parse_args(argv)
+    if args.smoke and args.json is None:
+        parser.error(f"--smoke needs --json PATH: smoke results never "
+                     f"overwrite the committed {DEFAULT_JSON.name}")
 
     n_requests = args.requests or (400 if args.smoke else 2000)
     mean_gaps = MEAN_GAPS[1::2] if args.smoke else MEAN_GAPS
     payload = build_payload(n_requests, args.seed, mean_gaps)
     print_report(payload)
-    path = write_json(args.json, payload)
+    path = write_json(args.json or DEFAULT_JSON, payload)
     print(f"\nwrote {path}")
 
     if args.smoke:

@@ -13,6 +13,10 @@ under test:
    bit-identical to the sim run of the same seeded workload (speed
    never buys a different answer).
 
+Each workload records, per arm, the best rate over the repeats and the
+median and interquartile range beside it; ``meta`` stamps the commit,
+CPU count and Python/NumPy versions the times were measured under.
+
 Dual interface: a plain script (CI smoke job) and a pytest-benchmark
 wrapper.  Full runs of both write machine-readable results to
 ``BENCH_native.json`` at the repo root; a smoke run needs an explicit
@@ -31,7 +35,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.backend import get_backend
-from repro.bench.reporting import format_table, write_json
+from repro.bench.reporting import (
+    format_table,
+    spread,
+    wall_clock_meta,
+    write_json,
+)
 from repro.runtime import StreamService, closed_loop_workload, make_batcher
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -75,7 +84,7 @@ def build_payload(n_requests, seed, repeats):
     results = {}
     for name, kinds in workloads:
         backends = {label: get_backend(label) for label in ARMS}
-        best = dict.fromkeys(ARMS, float("inf"))
+        rates = {label: [] for label in ARMS}
         fingerprints = set()
         # The arms alternate within each repeat, so a burst of load from
         # elsewhere on the host slows both arms rather than all of one
@@ -85,12 +94,14 @@ def build_payload(n_requests, seed, repeats):
                 elapsed, fp = run_once(
                     kinds, backends[label], n_requests=n_requests, seed=seed
                 )
-                best[label] = min(best[label], elapsed)
+                rates[label].append(n_requests / elapsed)
                 fingerprints.add(fp)
-        cells = {
-            f"{label}_req_per_sec": round(n_requests / best[label], 1)
-            for label in ARMS
-        }
+        cells = {}
+        for label in ARMS:
+            key = f"{label}_req_per_sec"
+            cells[key] = round(max(rates[label]), 1)
+            for stat, value in spread(rates[label], digits=1).items():
+                cells[f"{key}_{stat}"] = value
         cells["state_match"] = len(fingerprints) == 1
         cells["speedup_vs_sim"] = round(
             cells["native_req_per_sec"] / cells["sim_req_per_sec"], 2
@@ -110,6 +121,7 @@ def build_payload(n_requests, seed, repeats):
             "batch_size": BATCH_SIZE,
         },
         "workloads": results,
+        "meta": wall_clock_meta(),
     }
 
 
@@ -141,7 +153,7 @@ def print_report(payload):
     print()
     print(f"wall-clock requests/sec, {payload['config']['n_requests']} "
           f"closed-loop requests per workload (best of "
-          f"{payload['config']['repeats']})")
+          f"{payload['config']['repeats']}; medians and IQRs in the JSON)")
     print(format_table(
         ["workload", "sim", "native", "native/sim", "states match"],
         rows,
@@ -164,7 +176,7 @@ def main(argv=None):
                      f"overwrite the committed {DEFAULT_JSON.name}")
 
     n_requests = args.requests or (300 if args.smoke else 3000)
-    repeats = 2 if args.smoke else 3
+    repeats = 2 if args.smoke else 5
     payload = build_payload(n_requests, args.seed, repeats)
     print_report(payload)
     path = write_json(args.json or DEFAULT_JSON, payload)
@@ -181,7 +193,7 @@ def main(argv=None):
 # ----------------------------------------------------------------------
 def test_native_backend_throughput(benchmark):
     payload = benchmark.pedantic(
-        build_payload, args=(3000, 11, 3), rounds=1, iterations=1
+        build_payload, args=(3000, 11, 5), rounds=1, iterations=1
     )
     print_report(payload)
     write_json(DEFAULT_JSON, payload)

@@ -36,9 +36,11 @@ Two experiments, written to ``BENCH_qos.json``:
   per-tenant admitted counts as ``burst`` tightens from 1.0 to 0.4
   (lower burst = tighter delay bound, more shedding).
 
-Dual interface like the other benches::
+Dual interface like the other benches; a smoke run needs an explicit
+``--json`` path, so it never overwrites the committed file::
 
-    python benchmarks/bench_qos.py [--smoke] [--json PATH]
+    python benchmarks/bench_qos.py [--json PATH]
+    python benchmarks/bench_qos.py --smoke --json PATH
     pytest benchmarks/bench_qos.py --benchmark-only -s
 """
 
@@ -298,18 +300,22 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="small sizes for the CI smoke job")
-    parser.add_argument("--json", type=Path, default=DEFAULT_JSON,
-                        help=f"result path (default {DEFAULT_JSON})")
+    parser.add_argument("--json", type=Path, default=None,
+                        help=f"result path (default {DEFAULT_JSON.name}; "
+                             "required with --smoke)")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--requests", type=int, default=None,
                         help="override workload size")
     args = parser.parse_args(argv)
+    if args.smoke and args.json is None:
+        parser.error(f"--smoke needs --json PATH: smoke results never "
+                     f"overwrite the committed {DEFAULT_JSON.name}")
 
     n_requests = args.requests or (1000 if args.smoke else 6000)
     bursts = BURST_SWEEP[::2] if args.smoke else BURST_SWEEP
     payload = build_payload(n_requests, args.seed, bursts)
     print_report(payload)
-    path = write_json(args.json, payload)
+    path = write_json(args.json or DEFAULT_JSON, payload)
     print(f"\nwrote {path}")
 
     if args.smoke:

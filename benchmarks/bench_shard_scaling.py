@@ -17,11 +17,12 @@ Two claims under test (ISSUE 2 acceptance criteria):
    (``rebalance.py``) must recover at least half the throughput lost
    relative to the balanced partition.
 
-Dual interface: a plain script (CI smoke job) and pytest-benchmark
-wrappers.  Both write machine-readable results to ``BENCH_shard.json``
-at the repo root::
+Dual interface: a plain script and pytest-benchmark wrappers.  Full
+runs of both write machine-readable results to ``BENCH_shard.json`` at
+the repo root; a smoke run needs an explicit ``--json`` path::
 
-    python benchmarks/bench_shard_scaling.py [--smoke] [--json PATH]
+    python benchmarks/bench_shard_scaling.py [--json PATH]
+    python benchmarks/bench_shard_scaling.py --smoke --json PATH
     pytest benchmarks/bench_shard_scaling.py --benchmark-only -s
 """
 
@@ -128,19 +129,13 @@ def rebalance_experiment(n_requests, seed, shards=4):
     recovered = thr["rebalanced"] - thr["hot"]
     cells["throughput_lost"] = round(lost, 6)
     cells["throughput_recovered"] = round(recovered, 6)
-    # The recovered share of the hot-vs-balanced throughput gap.  Live
-    # migration can legitimately beat the balanced partition outright
-    # (isolating hot bins lowers the max-over-shards cost), which made
-    # the raw ratio read as a nonsense ">100% fraction" (4.506 in the
-    # PR 2 numbers); the reported fraction is bounded to [0, 1.05] and
-    # the unbounded ratio kept alongside for the curious.
-    if lost > 0:
-        raw = recovered / lost
-        cells["recovered_ratio_raw"] = round(raw, 3)
-        cells["recovered_fraction"] = round(min(max(raw, 0.0), 1.05), 3)
-    else:
-        cells["recovered_ratio_raw"] = None
-        cells["recovered_fraction"] = None
+    # The recovered share of the hot-vs-balanced throughput gap, unclamped:
+    # live migration can beat the balanced partition outright (isolating
+    # hot bins lowers the max-over-shards cost), so it may exceed 1.  The
+    # three arms' cycles/request above are the direct comparison.
+    cells["recovered_ratio_raw"] = (
+        round(recovered / lost, 3) if lost > 0 else None
+    )
     cells["shards"] = shards
     return cells
 
@@ -154,13 +149,12 @@ def check(payload):
         failures.append(
             f"cycles/request not monotone K=1->4 at uniform keys: {k14}"
         )
-    reb = payload["rebalance"]
-    frac = reb["recovered_fraction"]
-    if frac is None:
+    ratio = payload["rebalance"]["recovered_ratio_raw"]
+    if ratio is None:
         failures.append("range partition lost no throughput at skew 1.2")
-    elif frac < 0.5:
+    elif ratio < 0.5:
         failures.append(
-            f"rebalancing recovered only {frac:.0%} of the hot-shard loss"
+            f"rebalancing recovered only {ratio:.0%} of the hot-shard loss"
         )
     return failures
 
@@ -212,25 +206,29 @@ def print_report(payload):
         for name in ("balanced", "hot", "rebalanced")
     ]
     print(format_table(["partition", "cyc/req", "migrations"], rows))
-    print(f"recovered fraction of lost throughput: "
-          f"{reb['recovered_fraction']}")
+    print(f"recovered share of lost throughput (raw ratio): "
+          f"{reb['recovered_ratio_raw']}")
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="small sizes for the CI smoke job")
-    parser.add_argument("--json", type=Path, default=DEFAULT_JSON,
-                        help=f"result path (default {DEFAULT_JSON})")
+    parser.add_argument("--json", type=Path, default=None,
+                        help=f"result path (default {DEFAULT_JSON.name}; "
+                             "required with --smoke)")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--requests", type=int, default=None,
                         help="override workload size")
     args = parser.parse_args(argv)
+    if args.smoke and args.json is None:
+        parser.error(f"--smoke needs --json PATH: smoke results never "
+                     f"overwrite the committed {DEFAULT_JSON.name}")
 
     n_requests = args.requests or (300 if args.smoke else 2000)
     payload = build_payload(n_requests, args.seed)
     print_report(payload)
-    path = write_json(args.json, payload)
+    path = write_json(args.json or DEFAULT_JSON, payload)
     print(f"\nwrote {path}")
 
     failures = check(payload)
@@ -250,8 +248,8 @@ def test_shard_scaling_and_rebalance(benchmark):
     write_json(DEFAULT_JSON, payload)
     for key, value in payload["scaling"].items():
         benchmark.extra_info[key] = value
-    benchmark.extra_info["recovered_fraction"] = (
-        payload["rebalance"]["recovered_fraction"]
+    benchmark.extra_info["recovered_ratio_raw"] = (
+        payload["rebalance"]["recovered_ratio_raw"]
     )
     assert check(payload) == []
 

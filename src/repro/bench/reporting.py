@@ -5,8 +5,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import platform
+import statistics
+import subprocess
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Dict, Mapping, Sequence, Union
 
 # The table renderer and its NaN-safe cell formatter live on the
 # observability spine now; re-exported here because every bench and
@@ -67,6 +71,40 @@ def write_json(path: Union[str, Path], payload: Mapping) -> Path:
         json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
     )
     return path
+
+
+def wall_clock_meta() -> Dict[str, object]:
+    """The ``meta`` envelope of a wall-clock bench file: the schema and
+    package version plus the commit, CPU count and Python/NumPy versions
+    its times were measured under.  Sim-cycle files keep the plain
+    envelope: their bytes must not change from one commit to the next."""
+    import numpy
+
+    from .. import __version__
+
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+            cwd=Path(__file__).resolve().parent, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {
+        "schema": 1,
+        "version": __version__,
+        "git_sha": sha,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+
+
+def spread(values: Sequence[float], digits: int = 2) -> Dict[str, float]:
+    """Median and interquartile range of repeated measurements."""
+    if len(values) == 1:
+        return {"median": round(values[0], digits), "iqr": 0.0}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, digits), "iqr": round(q3 - q1, digits)}
 
 
 def banner(title: str) -> str:
