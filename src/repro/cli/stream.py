@@ -126,6 +126,7 @@ def run(args) -> int:
             queue=queue,
             linger=linger,
             table_size=args.table_size,
+            key_space=args.key_space,
             carryover=not args.no_carryover,
             trace=args.trace,
             backend=backend,

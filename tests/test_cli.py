@@ -51,6 +51,15 @@ class TestCli:
         assert "cycles_per_request" in out
         assert "p50_latency" in out
 
+    def test_stream_key_space_reaches_the_counts(self, capsys):
+        # Uniform keys over 8192 values: about half lie past the
+        # default key space of 4096, so the bst and sort counts must
+        # be sized by --key-space.
+        assert main(["stream", "--requests", "200", "--closed-loop",
+                     "--kinds", "bst,sort", "--skew", "0",
+                     "--key-space", "8192"]) == 0
+        assert "cycles_per_request" in capsys.readouterr().out
+
     def test_stream_sharded(self, capsys):
         assert main(["stream", "--requests", "60", "--closed-loop",
                      "--policy", "fixed", "--batch-size", "16",
