@@ -10,10 +10,11 @@ The kind owns no state — it rides the ``"list"`` cell bank
 (:mod:`repro.engine.kinds.cells`) and routes both of its cells through
 the same domain.  When the two cells have different owners the router
 emits a cross-shard unit, resolved by the coordinator's two-phase
-claim/commit; :meth:`XferSpec.commit_cross` turns a winning unit into
-word additions on both owners' cells, which the coordinator sends to
-the owners, and :meth:`XferSpec.carry_group` assigns the conflict
-group for a claim loser.
+claim/commit: claim rounds repeat inside the exchange until every unit
+has won, so a cross-shard transfer is never carried.
+:meth:`XferSpec.commit_cross` turns each winning unit into word
+additions on both owners' cells, which the coordinator sends to the
+owners.
 """
 
 from __future__ import annotations
@@ -107,11 +108,6 @@ class XferSpec(WorkloadSpec):
         return (fold(req.key), fold(req.key2))
 
     # -- cross-shard claim/commit ---------------------------------------
-    def carry_group(self, coordinator, unit) -> int:
-        # Workers share one layout, so worker 0's cell address is the
-        # conflict-group address on every shard.
-        return coordinator.workers[0].cell_addr(unit.src_index)
-
     def commit_cross(self, coordinator, unit):
         """One winning cross-shard transfer as word additions on both
         owners' cells (value -= delta at source, += delta at

@@ -205,12 +205,6 @@ class WorkloadSpec:
             )
 
     # -- cross-shard tuples (arity >= 2 kinds only) ---------------------
-    def carry_group(self, coordinator, unit) -> int:
-        """Conflict-group address for a cross-shard claim loser."""
-        raise ReproError(
-            f"kind {self.name!r} has no cross-shard carry semantics"
-        )
-
     def commit_cross(
         self, coordinator, unit
     ) -> Tuple[Tuple[int, int, int], ...]:
