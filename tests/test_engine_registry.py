@@ -179,9 +179,9 @@ class TestGoldenParity:
         )
         svc = StreamService(coord, batcher=FixedBatcher(batch_size=64))
         metrics = svc.run(reqs)
-        assert round(svc.now, 6) == 116220.0
-        assert len(metrics.batches) == 34
-        assert coord.total_cross == 207
+        assert round(svc.now, 6) == 110904.4
+        assert len(metrics.batches) == 31
+        assert coord.total_cross == 87
         # The sharded end state merges to the same state as K=1 (same
         # workload, same hash as test_stream_closed_loop).
         assert state_hash(
@@ -204,9 +204,9 @@ class TestGoldenParity:
         )
         svc = StreamService(coord, batcher=FixedBatcher(batch_size=64))
         metrics = svc.run(reqs)
-        assert round(svc.now, 6) == 116220.0
-        assert len(metrics.batches) == 34
-        assert coord.total_cross == 207
+        assert round(svc.now, 6) == 110904.4
+        assert len(metrics.batches) == 31
+        assert coord.total_cross == 87
         assert state_hash(
             coord.chain_multisets(), coord.bst_inorder(), coord.list_values()
         ) == "9e2135db213ea54c5aed42bed1d7403bc8ef5696a8c4b4bcc7ccf864d2f0e660"
@@ -216,11 +216,13 @@ class TestGoldenParity:
         [
             ("core", 8, 48, [264, 2002, 134, 0, 26, 4, 0]),
             ("stream", 8, 40, [434, 651, 29, 57, 26, 33, 5]),
-            ("shard", 6, 32, [386, 407, 18, 67, 22, 26, 0]),
+            ("shard", 6, 32, [386, 408, 19, 67, 22, 26, 0]),
         ],
     )
     def test_fuzz_suites(self, suite, cases, lanes, expected):
-        # Pinned audit-counter totals from the pre-registry fuzzer.
+        # Pinned audit-counter totals from the pre-registry fuzzer; the
+        # shard totals were re-pinned when cross-shard claims began
+        # retrying inside their exchange.
         # Stream/shard mixes are pinned to the legacy kinds (the default
         # mix now also cycles "sort"); core derives its scenarios from
         # the registry, which reproduces the legacy scenario cycle.

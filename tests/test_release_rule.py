@@ -171,6 +171,8 @@ def observe(name):
 # Captured under the former deadline batch policy (a 500-cycle deadline,
 # 64-lane batches), the release rule this linger replaced;
 # FixedBatcher(64) with linger=500 must keep reproducing them.
+# sharded_k3 was re-pinned when cross-shard claims began retrying in
+# rounds inside their exchange (one claim RTT per round).
 PINS = {
     "mixed": {
         "batches": 85,
@@ -190,16 +192,16 @@ PINS = {
     "sharded_k3": {
         "batches": 124,
         "completed": 300,
-        "total_cycles": 166482.8,
-        "p50": 2509.806558,
-        "p99": 5256.56661,
+        "total_cycles": 167711.2,
+        "p50": 2531.241367,
+        "p99": 5250.038833,
         "fingerprint": (
             "18deae0b0767e270fb9df033850005e3e5832b417917c458c211254390c31877"
         ),
         "stages": {
-            "admit": 156604.7168, "queue": 0.0, "batch": 132002.6086,
-            "execute": 424926.9, "commit": 67324.0, "park": 0.0,
-            "carry": 4791.4297,
+            "admit": 159711.3105, "queue": 0.0, "batch": 132563.1332,
+            "execute": 418057.2, "commit": 67960.0, "park": 0.0,
+            "carry": 1500.0,
         },
     },
     "tenants_qos": {
