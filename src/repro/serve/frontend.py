@@ -18,7 +18,7 @@ admission) and the :class:`~repro.runtime.carryover.CarryoverBuffer`
 
 ``request_stop()`` (wired to SIGINT/SIGTERM by :func:`run_serve`, and
 to ``--duration``) stops admission, **drains** everything already
-admitted — carried claim-losers included, so the merged end state stays
+admitted — carried lanes included, so the merged end state stays
 oracle-consistent — then returns a partial summary instead of dying
 mid-batch.
 """

@@ -135,7 +135,8 @@ class ShardWorker:
     def add_words(self, pairs: Sequence[Tuple[int, int]]) -> None:
         """Add each ``(addr, delta)`` to this shard's words: the
         cross-shard commit (uncharged; the coordinator charges the
-        commit payload)."""
+        commit payload).  Winners of different claim rounds may add to
+        the same word, so the pairs are applied one at a time."""
         mem = self.vm.mem
         for addr, delta in pairs:
             mem.poke(addr, int(mem.peek(addr)) + int(delta))
