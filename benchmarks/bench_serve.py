@@ -51,7 +51,7 @@ from repro.bench.reporting import (
     wall_clock_meta,
     write_json,
 )
-from repro.serve import run_serve
+from repro.serve import run_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_JSON = REPO_ROOT / "BENCH_serve.json"
@@ -76,11 +76,11 @@ SPREAD_METRICS = ("throughput_rps", "p50_latency_ms", "p99_latency_ms")
 
 
 def _one_run(*, workers, requests, rate, batch_size):
-    report = run_serve(
-        workers=workers,
+    report = run_workload(
+        shards=workers,
         backend="native",
         requests=requests,
-        rate=rate,
+        mean_gap=None if rate is None else 1.0 / rate,
         skew=SKEW,
         kinds=KINDS,
         weights=WEIGHTS,
@@ -130,11 +130,10 @@ def _trace_overhead(*, workers, requests, batch_size):
     rows = {}
     breakdown = None
     for arm, trace in (("off", False), ("on", True)):
-        report = run_serve(
-            workers=workers,
+        report = run_workload(
+            shards=workers,
             backend="native",
             requests=requests,
-            rate=None,
             skew=SKEW,
             kinds=KINDS,
             weights=WEIGHTS,

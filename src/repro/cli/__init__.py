@@ -1,12 +1,13 @@
 """The ``repro`` command-line package.
 
-One module per subcommand (``stream``, ``serve``, ``audit``,
-``trace``, ``figures``, ``demo``, ``info``), shared argparse types in
-:mod:`repro.cli.validators`, and the parser assembly in
-:mod:`repro.cli.parser` (whose module docstring is the ``--help``
-text).  :mod:`repro.__main__` is a thin shim over :func:`main` so
-``python -m repro`` and ``from repro.__main__ import main`` keep
-working unchanged.
+One module per subcommand (``audit``, ``trace``, ``figures``,
+``demo``, ``info``) except ``stream`` and ``serve``, which share
+:mod:`repro.cli.run` (one run on either clock); shared argparse types
+and flag checks in :mod:`repro.cli.validators`, and the parser
+assembly in :mod:`repro.cli.parser` (whose module docstring is the
+``--help`` text).  :mod:`repro.__main__` is a thin shim over
+:func:`main` so ``python -m repro`` and ``from repro.__main__ import
+main`` keep working unchanged.
 
 Subcommand modules expose ``run(args) -> int``; heavy imports live
 inside those functions so ``--help`` stays fast and a broken optional
@@ -57,7 +58,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         from ..errors import ReproError
 
-        module = import_module(f".{args.command}", __package__)
+        name = "run" if args.command in ("stream", "serve") else args.command
+        module = import_module(f".{name}", __package__)
         try:
             return module.run(args)
         except ReproError as exc:

@@ -60,24 +60,43 @@ def skew(text: str) -> float:
 def check_run_flags(args) -> None:
     """Refuse ``stream``/``serve`` flag combinations that would
     otherwise be silently ignored (:class:`ReproError`, exit 2)."""
+    from ..backend import get_backend
     from ..errors import ReproError
 
-    if args.migration is not None and not args.rebalance:
-        raise ReproError(
-            "--migration paces live bin handoff and needs --rebalance"
-        )
-    if args.rebalance_objective is not None and not args.rebalance:
-        raise ReproError(
-            "--rebalance-objective steers migration planning and needs "
-            "--rebalance"
-        )
-    if args.tenants is None:
-        if args.slo is not None:
-            raise ReproError("--slo assigns per-tenant budgets and needs "
-                             "--tenants")
-        if args.qos:
-            raise ReproError("--qos admits per tenant class and needs "
-                             "--tenants")
+    one_shard = args.shards == 1
+    no_rebalance = not args.rebalance
+    no_tenants = args.tenants is None
+    sharded = "and needs more than one shard (--shards/--workers > 1)"
+    # Cycle-only features would silently measure zero on an
+    # uncalibrated backend.
+    uncharged = (
+        args.command == "stream" and not get_backend(args.backend).calibrated
+    )
+    no_cycles = (f", which the {args.backend!r} backend does not charge; "
+                 f"use --backend sim")
+    for flag, given, why in (
+        ("--rebalance", one_shard and args.rebalance,
+         f"migrates state between shards {sharded}"),
+        ("--partitioner", one_shard and args.partitioner is not None,
+         f"chooses the shard assignment {sharded}"),
+        ("--bins", one_shard and args.bins is not None,
+         f"sizes the routing-bin level {sharded}"),
+        ("--migration", no_rebalance and args.migration is not None,
+         "paces live bin handoff and needs --rebalance"),
+        ("--rebalance-objective",
+         no_rebalance and args.rebalance_objective is not None,
+         "steers migration planning and needs --rebalance"),
+        ("--slo", no_tenants and args.slo is not None,
+         "assigns per-tenant budgets and needs --tenants"),
+        ("--qos", no_tenants and args.qos,
+         "admits per tenant class and needs --tenants"),
+        ("--trace", uncharged and (args.trace or args.trace_out),
+         f"records the simulated instruction mix{no_cycles}"),
+        ("--deadline", uncharged and args.deadline is not None,
+         f"lingers in simulated cycles{no_cycles}"),
+    ):
+        if given:
+            raise ReproError(f"{flag} {why}")
 
 
 def parse_mix(text: str):
@@ -109,9 +128,10 @@ def parse_mix(text: str):
     return tuple(kinds), tuple(weights)
 
 
-def parse_kinds_or_mix(args, *, default_kinds=None):
+def parse_kinds_or_mix(args):
     """Resolve the shared ``--kinds`` / ``--mix`` pair into
-    ``(kinds, weights)``; ``--mix`` wins, unknown kinds raise."""
+    ``(kinds, weights)``; ``--mix`` wins, unknown kinds raise, and no
+    ``--kinds`` is ``(None, None)``: the registry's stream mix."""
     from ..engine.spec import get_spec
 
     if args.mix is not None:
@@ -121,4 +141,4 @@ def parse_kinds_or_mix(args, *, default_kinds=None):
         for kind in kinds:
             get_spec(kind)  # unknown kind -> ReproError naming the registry
         return kinds, None
-    return default_kinds, None
+    return None, None

@@ -36,6 +36,7 @@ from .batcher import BatchPolicy, FixedBatcher
 from .executor import StreamExecutor
 from .loop import BatchLoop
 from .metrics import BatchRecord, StreamMetrics
+from .qos import TenantClass, tenant_workload
 from .queue import BoundedQueue, Request
 
 
@@ -291,6 +292,38 @@ def closed_loop_workload(
         rng, np.zeros(n), kinds, skew, key_space, n_cells, max_delta,
         weights=weights,
     )
+
+
+def make_workload(
+    rng: np.random.Generator,
+    n: int,
+    *,
+    kinds: Sequence[str],
+    weights: Optional[Sequence[float]] = None,
+    skew: float = 0.0,
+    key_space: int = 4096,
+    n_cells: int = 64,
+    max_delta: int = 9,
+    mean_gap: Optional[float] = None,
+    tenants: Optional[Sequence[TenantClass]] = None,
+) -> List[Request]:
+    """The one workload dispatcher: closed loop when ``mean_gap`` is
+    None, open loop otherwise, and a tenant-tagged mix (each tenant
+    drawing keys with its own skew; ``skew`` is ignored) when
+    ``tenants`` is given.  ``mean_gap`` is in the driver's clock unit."""
+    if tenants is not None:
+        return tenant_workload(
+            rng, n, tenants, kinds=kinds, weights=weights,
+            key_space=key_space, n_cells=n_cells, max_delta=max_delta,
+            mean_gap=mean_gap,
+        )
+    common = dict(
+        kinds=kinds, weights=weights, skew=skew, key_space=key_space,
+        n_cells=n_cells, max_delta=max_delta,
+    )
+    if mean_gap is None:
+        return closed_loop_workload(rng, n, **common)
+    return open_loop_workload(rng, n, mean_gap=mean_gap, **common)
 
 
 def requests_from_keys(

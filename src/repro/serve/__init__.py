@@ -1,7 +1,7 @@
 """``repro.serve`` — the real multi-process serving layer.
 
-Everything below this package runs on a **measured wall clock**: an
-asyncio front-end admits and micro-batches requests
+The serving path runs on a **measured wall clock**: an asyncio
+front-end admits and micro-batches requests
 (:mod:`~repro.serve.frontend`), one OS process per shard worker owns
 its arena in shared memory and computes in place
 (:mod:`~repro.serve.proc_worker`), and the sharded engine's one
@@ -18,21 +18,23 @@ runtime's open/closed-loop Zipf workloads in real time
 saturation throughput — the simulated runtime's cycle-denominated
 quantities keep living in :mod:`repro.runtime`.
 
-Entry points: ``python -m repro serve`` and :func:`run_serve`.
-See docs/serving.md for the process topology and protocol.
+Entry points: ``python -m repro serve`` and :func:`run_workload`, the
+one runner ``python -m repro stream`` shares (its ``driver="stream"``
+runs the simulated runtime's cycles instead).  See docs/serving.md for
+the process topology and protocol.
 """
 
 from .cluster import ProcessCluster
-from .frontend import ServeFrontend, ServeReport, run_serve
+from .frontend import RunReport, ServeFrontend, run_workload
 from .loadgen import timed_workload
 from .metrics import ExchangeRecord, ServeMetrics
 
 __all__ = [
     "ExchangeRecord",
     "ProcessCluster",
+    "RunReport",
     "ServeFrontend",
     "ServeMetrics",
-    "ServeReport",
-    "run_serve",
+    "run_workload",
     "timed_workload",
 ]

@@ -23,9 +23,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..runtime.qos import TenantClass, tenant_workload
+from ..runtime.qos import TenantClass
 from ..runtime.queue import Request
-from ..runtime.service import closed_loop_workload, open_loop_workload
+from ..runtime.service import make_workload
 
 
 def timed_workload(
@@ -42,34 +42,11 @@ def timed_workload(
     tenants: Optional[Sequence[TenantClass]] = None,
 ) -> List[Request]:
     """``n`` requests with wall-clock arrival offsets in seconds (see
-    module docstring for the open/closed-loop split).
-
-    With ``tenants`` the stream becomes a tenant-tagged mix: each
-    request draws its tenant by share and its key with *that tenant's*
-    skew (``skew`` is ignored), and carries the tenant's SLO budget in
-    seconds.  The untenanted path is byte-identical to before —
-    tenanted generation lives in its own generator so fixed-seed
-    workloads keep their RNG draw order."""
-    if tenants is not None:
-        return tenant_workload(
-            rng,
-            n,
-            tenants,
-            kinds=kinds,
-            weights=weights,
-            key_space=key_space,
-            n_cells=n_cells,
-            max_delta=max_delta,
-            mean_gap=None if rate is None else 1.0 / rate,
-        )
-    common = dict(
-        kinds=kinds,
-        weights=weights,
-        skew=skew,
-        key_space=key_space,
-        n_cells=n_cells,
-        max_delta=max_delta,
+    module docstring for the open/closed-loop split): a rate in front
+    of :func:`~repro.runtime.service.make_workload`, whose ``tenants``
+    carry their SLO budgets in seconds here."""
+    return make_workload(
+        rng, n, kinds=kinds, weights=weights, skew=skew,
+        key_space=key_space, n_cells=n_cells, max_delta=max_delta,
+        mean_gap=None if rate is None else 1.0 / rate, tenants=tenants,
     )
-    if rate is None:
-        return closed_loop_workload(rng, n, **common)
-    return open_loop_workload(rng, n, mean_gap=1.0 / rate, **common)

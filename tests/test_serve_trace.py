@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.serve import ProcessCluster, run_serve
+from repro.serve import ProcessCluster, run_workload
 
 
 def test_traced_rebalance_records_every_migration(monkeypatch):
@@ -17,8 +17,8 @@ def test_traced_rebalance_records_every_migration(monkeypatch):
         return clusters[-1]
 
     monkeypatch.setattr(ProcessCluster, "for_workload", classmethod(keep))
-    report = run_serve(
-        workers=2,
+    report = run_workload(
+        shards=2,
         partitioner="range",
         rebalance=True,
         bins=16,
